@@ -639,306 +639,28 @@ let stop_wants_save = function
   | Proved_optimal | Gap_reached -> false
 
 (* ------------------------------------------------------------------ *)
-(* Sequential driver                                                   *)
+(* Search driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_seq : type region sol.
-    params:params ->
-    faults:(region, sol) faults ->
-    checkpointing:checkpointing option ->
-    interrupt:(unit -> bool) option ->
-    counters:oracle_counters option ->
-    progress:Obs.Progress.t option ->
-    (region, sol) oracle ->
-    (region, sol) source ->
-    sol result =
- fun ~params ~faults ~checkpointing ~interrupt ~counters ~progress oracle
-     source ->
-  let queue = Pqueue.create () in
-  let fc = Fault.fresh_counters () in
-  let oc = match counters with Some c -> c | None -> oracle_counters () in
-  let ( infeasible0, pruned0, stale0, updates0, children0, elapsed0, reset0,
-        (shed0, shed_bound0), (seed0_nodes, seed0_us) ) =
-    restore_counters fc oc source
-  in
-  (* Bounded-memory frontier residue: nodes shed by the cap are gone,
-     but their best possible subtree optimum survives here and is
-     folded into every bound and gap the search reports. *)
-  let frontier_shed = ref shed0 in
-  let shed_bound = ref shed_bound0 in
-  let incumbent =
-    ref (match source with Root _ -> None | Restored s -> s.Checkpoint.incumbent)
-  in
-  let incumbent_cost =
-    ref (match !incumbent with Some (_, c) -> c | None -> Float.infinity)
-  in
-  let nodes =
-    ref (match source with Root _ -> 0 | Restored s -> s.Checkpoint.nodes_explored)
-  in
-  let start_time = now () in
-  let run_t0_ns = Obs.Clock.now_ns () in
-  (* Time from run start to the first node expansion — the sequential
-     baseline for the per-shard startup-latency diagnostic; -1 when the
-     run never expanded a node. *)
-  let first_node_us = ref (-1) in
-  let elapsed () = elapsed0 +. (now () -. start_time) in
-  let stop = ref None in
-  let infeasible_regions = ref infeasible0 in
-  let bound_pruned = ref pruned0 in
-  let stale_pops = ref stale0 in
-  let incumbent_updates = ref updates0 in
-  let children_generated = ref children0 in
-  (* Current-run oracle microseconds (oc.oracle_time_us also carries the
-     pre-resume total): the [domain_oracle_seconds] attribution. *)
-  let oracle_cell = ref 0 in
-  let consider_candidate = function
-    | Some (sol, cost) when cost < !incumbent_cost ->
-        incumbent := Some (sol, cost);
-        incumbent_cost := cost;
-        incr incumbent_updates;
-        if Obs.Metrics.enabled () then Obs.Metrics.incr m_incumbents;
-        if Obs.Telemetry.enabled () then Obs.Telemetry.set_incumbent cost;
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"bnb" "bnb.incumbent"
-            ~args:[ ("cost", Obs.Trace.Float cost) ];
-        (* New incumbent: drop queued regions it dominates. *)
-        Pqueue.filter_in_place queue (fun lb _ -> lb < cost)
-    | _ -> ()
-  in
-  let enqueue ~budget region =
-    match
-      timed_guarded_bound ~cell:oracle_cell ~faults ~fc ~oc ~budget oracle
-        region
-    with
-    | Dropped_bound -> ()
-    | Bounded None -> incr infeasible_regions
-    | Bounded (Some { lower; candidate }) ->
-        consider_candidate candidate;
-        if lower < !incumbent_cost then Pqueue.push queue lower region
-        else incr bound_pruned
-  in
-  let maybe_shed () =
-    if params.max_frontier > 0 && Pqueue.length queue > params.max_frontier
-    then begin
-      let dropped, min_key = Pqueue.drop_worst queue ~keep:params.max_frontier in
-      if dropped > 0 then begin
-        frontier_shed := !frontier_shed + dropped;
-        shed_bound := Float.min !shed_bound min_key;
-        if Obs.Metrics.enabled () then Obs.Metrics.add m_frontier_shed dropped;
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"bnb" "bnb.frontier_shed"
-            ~args:
-              [
-                ("dropped", Obs.Trace.Int dropped);
-                ("shed_bound", Obs.Trace.Float !shed_bound);
-              ]
-      end
-    end
-  in
-  (match source with
-  | Root root -> enqueue ~budget:(ref faults.policy.Fault.retry_budget) root
-  | Restored s ->
-      Array.iter (fun (lb, region) -> Pqueue.push queue lb region)
-        s.Checkpoint.frontier;
-      maybe_shed ());
-  let snapshot_state ck =
-    {
-      Checkpoint.fingerprint = ck.fingerprint;
-      frontier =
-        Array.of_list (Pqueue.fold (fun acc k v -> (k, v) :: acc) [] queue);
-      incumbent = !incumbent;
-      nodes_explored = !nodes;
-      counters =
-        counters_alist ~infeasible:!infeasible_regions ~pruned:!bound_pruned
-          ~stale:!stale_pops ~updates:!incumbent_updates
-          ~children:!children_generated ~reset:reset0 ~shed:!frontier_shed
-          ~shed_bound:!shed_bound ~seed_nodes:seed0_nodes ~seed_us:seed0_us ~fc
-          ~oc;
-      elapsed = elapsed ();
-    }
-  in
-  let maybe_periodic_save () =
-    match checkpointing with
-    | Some ck when ck.every_nodes > 0 && !nodes mod ck.every_nodes = 0 ->
-        try_save ck (snapshot_state ck)
-    | _ -> ()
-  in
-  let gap_ok () =
-    !incumbent_cost < Float.infinity
-    &&
-    (* Shed subtrees count against the gap: the search cannot declare a
-       tolerance it only reached by throwing work away. *)
-    let bound = Float.min (Pqueue.min_key queue) !shed_bound in
-    let gap = !incumbent_cost -. bound in
-    gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs !incumbent_cost
-  in
-  let interrupted () = match interrupt with Some f -> f () | None -> false in
-  if Obs.Telemetry.enabled () then Obs.Telemetry.set_phase "searching";
-  while !stop = None do
-    if Pqueue.is_empty queue then stop := Some Proved_optimal
-    else if gap_ok () then stop := Some Gap_reached
-    else if !nodes >= params.max_nodes then stop := Some Node_budget
-    else if
-      match params.time_limit with
-      | Some limit -> elapsed () > limit
-      | None -> false
-    then stop := Some Time_budget
-    else if interrupted () then stop := Some Interrupted
-    else begin
-      match Pqueue.pop queue with
-      | None -> stop := Some Proved_optimal
-      | Some (lb, region) ->
-          if lb >= !incumbent_cost then
-            (* Stale entry dominated by a newer incumbent. *)
-            incr stale_pops
-          else begin
-            incr nodes;
-            if !first_node_us < 0 then
-              first_node_us := (Obs.Clock.now_ns () - run_t0_ns) / 1000;
-            if params.log_every > 0 && !nodes mod params.log_every = 0 then
-              Log.debug (fun m ->
-                  m "node %d: bound %.6g incumbent %.6g queue %d" !nodes lb
-                    !incumbent_cost (Pqueue.length queue));
-            let t_node = Obs.Clock.now_ns () in
-            (* One retry budget per node expansion: the branch call and
-               all child bounds draw from it, capping the worst-case
-               time a pathological region can soak up. *)
-            let budget = ref faults.policy.Fault.retry_budget in
-            let children = guarded_branch ~faults ~fc ~budget oracle region in
-            children_generated := !children_generated + List.length children;
-            List.iter (enqueue ~budget) children;
-            maybe_shed ();
-            (* Exactly one node-seconds observation per explored node
-               (the CI schema gate compares the histogram count against
-               the reported node counts). *)
-            let node_ns = Obs.Clock.now_ns () - t_node in
-            if Obs.Trace.enabled () then
-              Obs.Trace.complete ~cat:"bnb" "bnb.node" ~t0_ns:t_node
-                ~dur_ns:node_ns
-                ~args:
-                  [ ("node", Obs.Trace.Int !nodes); ("lb", Obs.Trace.Float lb) ];
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.observe m_node_seconds (float_of_int node_ns *. 1e-9);
-            if Obs.Telemetry.enabled () then begin
-              Obs.Telemetry.set_nodes !nodes;
-              Obs.Telemetry.set_gap
-                (!incumbent_cost
-                -. Float.min (Pqueue.min_key queue) !shed_bound)
-            end;
-            (match progress with
-            | Some p when Obs.Progress.due p ->
-                Obs.Progress.emit p
-                  (progress_line ~nodes:!nodes ~elapsed:(elapsed ())
-                     ~incumbent:!incumbent_cost
-                     ~bound:(Pqueue.min_key queue) ~steals:0
-                     ~oracle_us:[| !oracle_cell |])
-            | _ -> ());
-            maybe_periodic_save ()
-          end
-    end
-  done;
-  let stop_reason = match !stop with Some r -> r | None -> Proved_optimal in
-  if Obs.Telemetry.enabled () then begin
-    Obs.Telemetry.set_nodes !nodes;
-    Obs.Telemetry.set_phase ("done:" ^ stop_reason_name stop_reason)
-  end;
-  (match checkpointing with
-  | Some ck when ck.save_on_stop && stop_wants_save stop_reason ->
-      try_save ck (snapshot_state ck)
-  | _ -> ());
-  let bound =
-    let b =
-      if Pqueue.is_empty queue then
-        (* Everything explored or pruned: the incumbent is optimal —
-           unless subtrees were shed, whose residue caps the claim. *)
-        Float.min !incumbent_cost (Pqueue.min_key queue)
-      else Pqueue.min_key queue
-    in
-    Float.min b !shed_bound
-  in
-  {
-    best = !incumbent;
-    bound;
-    gap =
-      (if !incumbent_cost = Float.infinity then Float.infinity
-       else !incumbent_cost -. bound);
-    nodes_explored = !nodes;
-    stop_reason;
-    stats =
-      {
-        infeasible_regions = !infeasible_regions;
-        bound_pruned = !bound_pruned;
-        stale_pops = !stale_pops;
-        incumbent_updates = !incumbent_updates;
-        children_generated = !children_generated;
-        domains_used = 1;
-        idle_wakeups = 0;
-        steals = 0;
-        stolen_nodes = 0;
-        (* A sequential run never seeds, but the cumulative totals of a
-           resumed parallel prefix survive the chain. *)
-        seed_nodes = seed0_nodes;
-        seed_seconds = float_of_int seed0_us *. 1e-6;
-        targeted_wakeups = 0;
-        steals_best_victim = 0;
-        domain_targeted_wakeups = [| 0 |];
-        domain_steals_best_victim = [| 0 |];
-        domain_first_node_seconds =
-          [|
-            (if !first_node_us < 0 then -1.0
-             else float_of_int !first_node_us *. 1e-6);
-          |];
-        oracle_failures = Atomic.get fc.Fault.failures;
-        retries = Atomic.get fc.Fault.retries;
-        degraded_bounds = Atomic.get fc.Fault.degraded;
-        dropped_regions = Atomic.get fc.Fault.dropped;
-        warm_start_hits = Atomic.get oc.warm_hits;
-        phase1_skipped = Atomic.get oc.phase1_skips;
-        warm_pull_ins = Atomic.get oc.pull_ins;
-        warm_newton_corrections = Atomic.get oc.corrections;
-        warm_miss_no_parent = Atomic.get oc.miss_no_parent;
-        warm_miss_not_interior = Atomic.get oc.miss_not_interior;
-        warm_miss_fault_cleared = Atomic.get oc.miss_fault_cleared;
-        stolen_warm = 0;
-        counters_reset = reset0;
-        cert_verified = Atomic.get oc.cert_verified;
-        cert_repaired = Atomic.get oc.cert_repaired;
-        cert_fallbacks = Atomic.get oc.cert_fallbacks;
-        certified_sound = Atomic.get oc.certified_sound;
-        frontier_shed = !frontier_shed;
-        retry_budget_exhausted = Atomic.get fc.Fault.budget_exhausted;
-        retry_backoff_seconds =
-          float_of_int (Atomic.get fc.Fault.backoff_ns) *. 1e-9;
-        oracle_seconds = float_of_int (Atomic.get oc.oracle_time_us) *. 1e-6;
-        domain_oracle_seconds = [| float_of_int !oracle_cell *. 1e-6 |];
-        wall_seconds = elapsed ();
-      };
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel driver                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The calling domain plus [params.domains - 1] spawned domains run the
-   same worker loop over a sharded work-stealing Work_deque: each worker
+(* The calling domain plus [workers - 1] spawned domains run the same
+   worker loop over a sharded work-stealing Work_deque: each worker
    pushes its own expansions to its own shard and pops locally, stealing
    the best half of a victim's shard only when dry, so in steady state no
-   lock or cache line is shared between workers.  Search-wide state is
+   lock or cache line is shared between workers.  One worker (the
+   default [domains = 1]) owns the only shard, never steals or parks,
+   and expands nodes in plain best-first order.  Search-wide state is
    synchronized through atomics: the incumbent cost mirror (CAS-checked
    under a dedicated incumbent mutex on update, read lock-free for
    pruning), the per-shard frontier-bound mirrors feeding the gap test
-   (conservative at every instant — see Work_deque), the explored-node
+   (conservative at every instant, exact with one shard — see
+   Work_deque), the explored-node
    counter, and a write-once stop reason.  Per-worker statistics live in
    single-writer records merged after the joins, so hot-path counter
    bumps are plain stores.
 
-   Termination mirrors the sequential checks.  [drained] is exact
-   (children are pushed before their parent's in-flight slot is
-   released) and is tested before the gap so an exhausted search reports
-   Proved_optimal, not Gap_reached against an infinite frontier bound.
    The node budget is checked before claiming a node; workers already
    mid-expansion finish, so the budget can overshoot by at most
-   [domains - 1] nodes — the price of not serializing the hot path.
+   [workers - 1] nodes — the price of not serializing the hot path.
 
    Fault containment: oracle calls are policy-guarded, and the in-flight
    slot of an expanding worker is released in a [Fun.protect] finaliser,
@@ -959,7 +681,7 @@ let run_par : type region sol.
     sol result =
  fun ~params ~faults ~checkpointing ~interrupt ~counters ~progress
      ~carries_warm oracle source ->
-  let workers = params.domains in
+  let workers = max 1 params.domains in
   let deque : region Work_deque.t =
     Work_deque.create ?carries_warm ~workers ()
   in
@@ -969,8 +691,10 @@ let run_par : type region sol.
         (shed0, shed_bound0), (seed0_nodes, seed0_us) ) =
     restore_counters fc oc source
   in
-  (* Shed-frontier residue, CAS-min so any worker can fold its shard's
-     shed bound in without a lock. *)
+  (* Bounded-memory frontier residue: nodes shed by the cap are gone,
+     but their best possible subtree optimum survives here and is folded
+     into every bound and gap the search reports.  CAS-min so any worker
+     can fold its shard's shed bound in without a lock. *)
   let shed_bound = Atomic.make shed_bound0 in
   let rec fold_shed_bound b =
     let cur = Atomic.get shed_bound in
@@ -1036,10 +760,23 @@ let run_par : type region sol.
           oracle_cell = ref 0;
         })
   in
-  let note_first_node (w : W.t) =
-    if w.W.first_node_us < 0 then
-      w.W.first_node_us <- (Obs.Clock.now_ns () - run_t0_ns) / 1000
-  in
+  (* The queue a loop works on: the seed phase's private heap, or one
+     worker's shard of the deque.  The stop test, the expansion step and
+     the periodic checkpoint take it as an argument, so the seed loop and
+     the worker loop share a single copy of each. *)
+  let module Q = struct
+    type t = {
+      worker : int;  (* the worker whose statistics the loop charges *)
+      push : float -> region -> unit;
+      release : unit -> unit;  (* a popped region is done with *)
+      exhausted : unit -> bool;  (* no live work left anywhere *)
+      bound : unit -> float;  (* frontier minimum, never above the truth *)
+      length : unit -> int;  (* queued regions, for the debug log *)
+      shed : unit -> (int * float) option;
+          (* enforce the frontier cap: [(dropped, min_dropped_key)] *)
+      snapshot : unit -> (float * region) array;  (* the live frontier *)
+    }
+  end in
   (* Reads of siblings' plain counter fields (periodic checkpoints, the
      final merge before the last join is not one — it runs after joins)
      may be stale by a few increments; fine for diagnostics.  The node
@@ -1077,19 +814,19 @@ let run_par : type region sol.
           Mutex.unlock inc_lock;
           better
         in
-        (* Prune outside inc_lock: shard locks are leaves, but keeping
-           inc_lock out of any nesting makes the no-deadlock argument
-           one-line.  Concurrent pruning passes compose (both only
-           remove dominated entries). *)
+        (* New incumbent: drop the queued regions it dominates.  Prune
+           outside inc_lock: shard locks are leaves, but keeping inc_lock
+           out of any nesting makes the no-deadlock argument one-line.
+           Concurrent pruning passes compose (both only remove dominated
+           entries). *)
         if improved then Work_deque.prune deque (fun lb _ -> lb < cost)
     | _ -> ()
   in
-  let record_bounded ~worker (w : W.t) region = function
+  let record_bounded (q : Q.t) (w : W.t) region = function
     | None -> w.W.infeasible <- w.W.infeasible + 1
     | Some { lower; candidate } ->
         consider_candidate w candidate;
-        if lower < Atomic.get incumbent_cost then
-          Work_deque.push deque ~worker lower region
+        if lower < Atomic.get incumbent_cost then q.Q.push lower region
         else w.W.pruned <- w.W.pruned + 1
   in
   (* Eager frontier seeding: before any worker starts, the calling
@@ -1100,26 +837,50 @@ let run_par : type region sol.
      the first milliseconds are pure startup serialization: one shard
      works while the others park, wake, and thrash half-empty steals. *)
   let seedq : region Pqueue.t = Pqueue.create () in
-  let seed_record_bounded (w : W.t) region = function
-    | None -> w.W.infeasible <- w.W.infeasible + 1
-    | Some { lower; candidate } ->
-        consider_candidate w candidate;
-        if lower < Atomic.get incumbent_cost then Pqueue.push seedq lower region
-        else w.W.pruned <- w.W.pruned + 1
+  let seed_q =
+    {
+      Q.worker = 0;
+      push = Pqueue.push seedq;
+      release = ignore;
+      exhausted = (fun () -> Pqueue.is_empty seedq);
+      bound = (fun () -> Pqueue.min_key seedq);
+      length = (fun () -> Pqueue.length seedq);
+      shed =
+        (fun () ->
+          if params.max_frontier > 0 && Pqueue.length seedq > params.max_frontier
+          then Some (Pqueue.drop_worst seedq ~keep:params.max_frontier)
+          else None);
+      snapshot =
+        (fun () ->
+          Array.of_list (Pqueue.fold (fun acc k v -> (k, v) :: acc) [] seedq));
+    }
+  in
+  let shard_q i =
+    {
+      Q.worker = i;
+      push = Work_deque.push deque ~worker:i;
+      release = (fun () -> Work_deque.release deque ~worker:i);
+      exhausted = (fun () -> Work_deque.drained deque);
+      bound = (fun () -> Work_deque.frontier_bound deque);
+      length = (fun () -> Work_deque.queue_length deque);
+      shed =
+        (fun () ->
+          if shard_cap > 0 then Work_deque.shed deque ~worker:i ~keep:shard_cap
+          else None);
+      snapshot = (fun () -> Array.of_list (Work_deque.snapshot deque));
+    }
   in
   (match source with
   | Root root ->
-      (* The root is bounded on the calling domain before anything else,
-         exactly as in the sequential driver (callers may rely on the
-         root bound running first, e.g. to install a seeded
-         incumbent). *)
-      let root_info =
-        timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~fc ~oc
-          ~budget:(ref faults.policy.Fault.retry_budget) oracle root
-      in
-      (match root_info with
+      (* The root is bounded on the calling domain before anything else
+         (callers may rely on the root bound running first, e.g. to
+         install a seeded incumbent). *)
+      (match
+         timed_guarded_bound ~cell:ws.(0).W.oracle_cell ~faults ~fc ~oc
+           ~budget:(ref faults.policy.Fault.retry_budget) oracle root
+       with
       | Dropped_bound -> ()
-      | Bounded info -> seed_record_bounded ws.(0) root info)
+      | Bounded info -> record_bounded seed_q ws.(0) root info)
   | Restored s ->
       (* A restored frontier enters the seed queue too: if it is
          already large enough the seed loop exits immediately and the
@@ -1157,7 +918,7 @@ let run_par : type region sol.
      rather than queueing up behind a disk write. *)
   let save_lock = Mutex.create () in
   let last_saved_nodes = ref (Atomic.get nodes) in
-  let maybe_periodic_save () =
+  let maybe_periodic_save (q : Q.t) =
     match checkpointing with
     | Some ck when ck.every_nodes > 0 ->
         if Mutex.try_lock save_lock then
@@ -1166,151 +927,149 @@ let run_par : type region sol.
             (fun () ->
               if Atomic.get nodes - !last_saved_nodes >= ck.every_nodes then begin
                 last_saved_nodes := Atomic.get nodes;
-                try_save ck
-                  (snapshot_state
-                     ~frontier:(Array.of_list (Work_deque.snapshot deque))
-                     ck)
+                try_save ck (snapshot_state ~frontier:(q.Q.snapshot ()) ck)
               end)
     | _ -> ()
   in
-  (* The frontier bound read from the shard mirrors is conservative
-     (never above the true minimum over live work — Work_deque), so this
-     can only under-report progress, never declare a gap early. *)
-  let gap_ok () =
-    let inc = Atomic.get incumbent_cost in
-    inc < Float.infinity
-    &&
-    let bound =
-      Float.min (Work_deque.frontier_bound deque) (Atomic.get shed_bound)
-    in
-    let gap = inc -. bound in
-    gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
+  (* The reported frontier bound: shed subtrees count against it, so the
+     search cannot declare a tolerance it only reached by throwing work
+     away.  [q.bound] never exceeds the true minimum over live work, so
+     this can only under-report progress, never declare a gap early. *)
+  let frontier_bound (q : Q.t) =
+    Float.min (q.Q.bound ()) (Atomic.get shed_bound)
   in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
+  (* Exhaustion is tested before the gap, so an exhausted search reports
+     Proved_optimal, not Gap_reached against an infinite frontier
+     bound. *)
+  let stop_due (q : Q.t) =
+    let inc = Atomic.get incumbent_cost in
+    if q.Q.exhausted () then Some Proved_optimal
+    else if
+      inc < Float.infinity
+      &&
+      let gap = inc -. frontier_bound q in
+      gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
+    then Some Gap_reached
+    else if Atomic.get nodes >= params.max_nodes then Some Node_budget
+    else if
+      match params.time_limit with
+      | Some limit -> elapsed () > limit
+      | None -> false
+    then Some Time_budget
+    else if interrupted () then Some Interrupted
+    else None
+  in
   (* First halt wins the stop reason; close is idempotent and wakes any
      parked sibling. *)
   let halt reason =
     ignore (Atomic.compare_and_set stop None (Some reason));
     Work_deque.close deque
   in
+  (* A popped region dominated by a newer incumbent. *)
+  let drop_stale (q : Q.t) =
+    let w = ws.(q.Q.worker) in
+    w.W.stale <- w.W.stale + 1;
+    q.Q.release ()
+  in
+  let expand (q : Q.t) lb region =
+    let w = ws.(q.Q.worker) in
+    let n = 1 + Atomic.fetch_and_add nodes 1 in
+    if w.W.first_node_us < 0 then
+      w.W.first_node_us <- (Obs.Clock.now_ns () - run_t0_ns) / 1000;
+    if params.log_every > 0 && n mod params.log_every = 0 then
+      Log.debug (fun m ->
+          m "node %d [w%d]: bound %.6g incumbent %.6g queued %d" n q.Q.worker
+            lb (Atomic.get incumbent_cost) (q.Q.length ()));
+    (* The in-flight slot is released in a finaliser: even if an
+       exception escapes the guards (non-containable, or a [reraise]
+       policy), the live count stays exact and the region's children —
+       pushed before this finaliser runs — are never lost. *)
+    let t_node = Obs.Clock.now_ns () in
+    Fun.protect ~finally:q.Q.release (fun () ->
+        (* One retry budget per node expansion: the branch call and all
+           child bounds draw from it, capping the worst-case time a
+           pathological region can soak up. *)
+        let budget = ref faults.policy.Fault.retry_budget in
+        let children = guarded_branch ~faults ~fc ~budget oracle region in
+        w.W.children <- w.W.children + List.length children;
+        (* Bound each child outside any lock; push to our own queue
+           immediately so siblings can steal fresh work and prune
+           against fresh incumbents.  Warm-start state lives inside the
+           region values, so it migrates with steals for free. *)
+        List.iter
+          (fun child ->
+            match
+              timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~fc ~oc
+                ~budget oracle child
+            with
+            | Dropped_bound -> ()
+            | Bounded info -> record_bounded q w child info)
+          children;
+        match q.Q.shed () with
+        | None -> ()
+        | Some (dropped, min_key) ->
+            w.W.shed <- w.W.shed + dropped;
+            fold_shed_bound min_key;
+            if Obs.Metrics.enabled () then Obs.Metrics.add m_frontier_shed dropped;
+            if Obs.Trace.enabled () then
+              Obs.Trace.instant ~cat:"bnb" "bnb.frontier_shed"
+                ~args:
+                  [
+                    ("worker", Obs.Trace.Int q.Q.worker);
+                    ("dropped", Obs.Trace.Int dropped);
+                    ("shed_bound", Obs.Trace.Float (Atomic.get shed_bound));
+                  ]);
+    (* Exactly one node-seconds observation per explored node (the CI
+       schema gate compares the histogram count against the reported
+       node counts). *)
+    let node_ns = Obs.Clock.now_ns () - t_node in
+    if Obs.Trace.enabled () then
+      Obs.Trace.complete ~cat:"bnb" "bnb.node" ~t0_ns:t_node ~dur_ns:node_ns
+        ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
+    if Obs.Metrics.enabled () then
+      Obs.Metrics.observe m_node_seconds (float_of_int node_ns *. 1e-9);
+    if Obs.Telemetry.enabled () then begin
+      Obs.Telemetry.set_nodes (Atomic.get nodes);
+      Obs.Telemetry.set_gap (Atomic.get incumbent_cost -. frontier_bound q)
+    end;
+    match progress with
+    | Some p when Obs.Progress.due p ->
+        Obs.Progress.emit p
+          (progress_line ~nodes:(Atomic.get nodes) ~elapsed:(elapsed ())
+             ~incumbent:(Atomic.get incumbent_cost) ~bound:(frontier_bound q)
+             ~steals:(Work_deque.steals deque)
+             ~oracle_us:(Array.map (fun w -> !(w.W.oracle_cell)) ws))
+    | _ -> ()
+  in
   let worker i () =
-    let w = ws.(i) in
-    let expand lb region =
-      if lb >= Atomic.get incumbent_cost then begin
-        (* Stale entry dominated by a newer incumbent. *)
-        w.W.stale <- w.W.stale + 1;
-        Work_deque.release deque ~worker:i
-      end
-      else begin
-        let n = 1 + Atomic.fetch_and_add nodes 1 in
-        note_first_node w;
-        if params.log_every > 0 && n mod params.log_every = 0 then
-          Log.debug (fun m ->
-              m "node %d [w%d]: bound %.6g incumbent %.6g queued %d" n i lb
-                (Atomic.get incumbent_cost)
-                (Work_deque.queue_length deque));
-        (* The in-flight slot is released in a finaliser: even if an
-           exception escapes the guards (non-containable, or a [reraise]
-           policy), the live count stays exact and the region's children
-           — pushed before this finaliser runs — are never lost. *)
-        let t_node = Obs.Clock.now_ns () in
-        Fun.protect
-          ~finally:(fun () -> Work_deque.release deque ~worker:i)
-          (fun () ->
-            (* One retry budget per node expansion (branch + all child
-               bounds), as in the sequential driver. *)
-            let budget = ref faults.policy.Fault.retry_budget in
-            let children = guarded_branch ~faults ~fc ~budget oracle region in
-            w.W.children <- w.W.children + List.length children;
-            (* Bound each child outside any lock; push to our own shard
-               immediately so siblings can steal fresh work and prune
-               against fresh incumbents.  Warm-start state lives inside
-               the region values, so it migrates with steals for
-               free. *)
-            List.iter
-              (fun child ->
-                match
-                  timed_guarded_bound ~cell:w.W.oracle_cell ~faults ~fc ~oc
-                    ~budget oracle child
-                with
-                | Dropped_bound -> ()
-                | Bounded info -> record_bounded ~worker:i w child info)
-              children;
-            if shard_cap > 0 then
-              match Work_deque.shed deque ~worker:i ~keep:shard_cap with
-              | None -> ()
-              | Some (dropped, min_key) ->
-                  w.W.shed <- w.W.shed + dropped;
-                  fold_shed_bound min_key;
-                  if Obs.Metrics.enabled () then
-                    Obs.Metrics.add m_frontier_shed dropped;
-                  if Obs.Trace.enabled () then
-                    Obs.Trace.instant ~cat:"bnb" "bnb.frontier_shed"
-                      ~args:
-                        [
-                          ("worker", Obs.Trace.Int i);
-                          ("dropped", Obs.Trace.Int dropped);
-                          ("shed_bound", Obs.Trace.Float (Atomic.get shed_bound));
-                        ]);
-        (* One node-seconds observation per explored node, as in the
-           sequential driver (the CI schema gate counts on it). *)
-        let node_ns = Obs.Clock.now_ns () - t_node in
-        if Obs.Trace.enabled () then
-          Obs.Trace.complete ~cat:"bnb" "bnb.node" ~t0_ns:t_node
-            ~dur_ns:node_ns
-            ~args:[ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.observe m_node_seconds (float_of_int node_ns *. 1e-9);
-        if Obs.Telemetry.enabled () then begin
-          Obs.Telemetry.set_nodes (Atomic.get nodes);
-          Obs.Telemetry.set_gap
-            (Atomic.get incumbent_cost
-            -. Float.min (Work_deque.frontier_bound deque)
-                 (Atomic.get shed_bound))
-        end;
-        (match progress with
-        | Some p when Obs.Progress.due p ->
-            Obs.Progress.emit p
-              (progress_line ~nodes:(Atomic.get nodes) ~elapsed:(elapsed ())
-                 ~incumbent:(Atomic.get incumbent_cost)
-                 ~bound:(Work_deque.frontier_bound deque)
-                 ~steals:(Work_deque.steals deque)
-                 ~oracle_us:(Array.map (fun w -> !(w.W.oracle_cell)) ws))
-        | _ -> ());
-        maybe_periodic_save ()
-      end
-    in
+    let q = shard_q i in
     let rec loop () =
       if Work_deque.is_closed deque then ()
-      else if Work_deque.drained deque then halt Proved_optimal
-        (* drained before gap: an exhausted search is Proved_optimal,
-           not a Gap_reached against an infinite frontier bound. *)
-      else if gap_ok () then halt Gap_reached
-      else if Atomic.get nodes >= params.max_nodes then halt Node_budget
-      else if
-        match params.time_limit with
-        | Some limit -> elapsed () > limit
-        | None -> false
-      then halt Time_budget
-      else if interrupted () then halt Interrupted
-      else begin
-        let item =
-          match Work_deque.take deque ~worker:i with
-          | Some _ as it -> it
-          | None -> Work_deque.try_steal deque ~thief:i
-        in
-        match item with
-        | Some (lb, region) ->
-            expand lb region;
-            loop ()
+      else
+        match stop_due q with
+        | Some reason -> halt reason
         | None -> (
-            (* Nothing local, nothing to steal: park until a sibling
-               pushes, the search drains, or someone halts. *)
-            match Work_deque.park deque ~worker:i with
-            | `Drained -> halt Proved_optimal
-            | `Closed -> ()
-            | `Work -> loop ())
-      end
+            let item =
+              match Work_deque.take deque ~worker:i with
+              | Some _ as it -> it
+              | None -> Work_deque.try_steal deque ~thief:i
+            in
+            match item with
+            | Some (lb, region) ->
+                if lb >= Atomic.get incumbent_cost then drop_stale q
+                else begin
+                  expand q lb region;
+                  maybe_periodic_save q
+                end;
+                loop ()
+            | None -> (
+                (* Nothing local, nothing to steal: park until a sibling
+                   pushes, the search drains, or someone halts. *)
+                match Work_deque.park deque ~worker:i with
+                | `Drained -> halt Proved_optimal
+                | `Closed -> ()
+                | `Work -> loop ()))
     in
     (* An oracle exception must not leave sibling domains parked: close
        the deque, then re-raise (Domain.join propagates). *)
@@ -1320,124 +1079,39 @@ let run_par : type region sol.
       raise e
   in
   (* ---- Seed phase (single-threaded, on the calling domain) ---- *)
-  (* Grow the seed queue best-first until it can feed every shard.
-     The loop honours every stop condition (without closing the deque —
-     [seed_halt] only records the reason), observes the same per-node
-     metrics as the workers (the CI schema gate counts one node-seconds
-     observation per explored node), polices the frontier cap, and
-     checkpoints on cadence from the local queue — a snapshot taken
-     mid-seed is indistinguishable from any other frontier snapshot. *)
-  let seed_target = max 1 (params.seed_factor * workers) in
+  (* Grow the seed queue best-first until it can feed every shard.  It
+     runs the same stop test, expansion and checkpoint cadence as the
+     workers — a snapshot taken mid-seed is indistinguishable from any
+     other frontier snapshot.  A single shard has no sibling to deal to,
+     so one worker seeds nothing: the root or the restored frontier goes
+     straight to shard 0. *)
+  let seed_target =
+    if workers = 1 then 0 else max 1 (params.seed_factor * workers)
+  in
   (* Cap expansions so a tree that prunes as fast as it branches (or
      never branches) cannot pin the whole search in the serial phase. *)
   let seed_cap = max 64 (8 * seed_target) in
-  let seed_halt reason =
-    ignore (Atomic.compare_and_set stop None (Some reason))
-  in
-  let seed_gap_ok () =
-    let inc = Atomic.get incumbent_cost in
-    inc < Float.infinity
-    &&
-    let bound = Float.min (Pqueue.min_key seedq) (Atomic.get shed_bound) in
-    let gap = inc -. bound in
-    gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
-  in
-  let seed_frontier () =
-    Array.of_list (Pqueue.fold (fun acc k v -> (k, v) :: acc) [] seedq)
-  in
-  let seed_periodic_save () =
-    match checkpointing with
-    | Some ck
-      when ck.every_nodes > 0
-           && Atomic.get nodes - !last_saved_nodes >= ck.every_nodes ->
-        last_saved_nodes := Atomic.get nodes;
-        try_save ck (snapshot_state ~frontier:(seed_frontier ()) ck)
-    | _ -> ()
-  in
-  let seed_shed () =
-    if params.max_frontier > 0 && Pqueue.length seedq > params.max_frontier
-    then begin
-      let dropped, min_key =
-        Pqueue.drop_worst seedq ~keep:params.max_frontier
-      in
-      if dropped > 0 then begin
-        ws.(0).W.shed <- ws.(0).W.shed + dropped;
-        fold_shed_bound min_key;
-        if Obs.Metrics.enabled () then Obs.Metrics.add m_frontier_shed dropped;
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~cat:"bnb" "bnb.frontier_shed"
-            ~args:
-              [
-                ("dropped", Obs.Trace.Int dropped);
-                ("shed_bound", Obs.Trace.Float (Atomic.get shed_bound));
-              ]
-      end
-    end
-  in
   let seed_t0_ns = Obs.Clock.now_ns () in
   if Obs.Telemetry.enabled () then Obs.Telemetry.set_phase "seeding";
-  let w0 = ws.(0) in
-  let rec seed_loop expansions =
-    if
-      Atomic.get stop <> None
-      || Pqueue.is_empty seedq
-      || Pqueue.length seedq >= seed_target
-      || expansions >= seed_cap
-    then ()
-    else if seed_gap_ok () then seed_halt Gap_reached
-    else if Atomic.get nodes >= params.max_nodes then seed_halt Node_budget
-    else if
-      match params.time_limit with
-      | Some limit -> elapsed () > limit
-      | None -> false
-    then seed_halt Time_budget
-    else if interrupted () then seed_halt Interrupted
-    else begin
-      match Pqueue.pop seedq with
-      | None -> ()
-      | Some (lb, region) ->
-          if lb >= Atomic.get incumbent_cost then begin
-            (* Stale entry dominated by a newer incumbent. *)
-            w0.W.stale <- w0.W.stale + 1;
-            seed_loop expansions
-          end
-          else begin
-            let n = 1 + Atomic.fetch_and_add nodes 1 in
-            note_first_node w0;
-            incr seed_nodes_run;
-            if params.log_every > 0 && n mod params.log_every = 0 then
-              Log.debug (fun m ->
-                  m "node %d [seed]: bound %.6g incumbent %.6g queued %d" n lb
-                    (Atomic.get incumbent_cost) (Pqueue.length seedq));
-            let t_node = Obs.Clock.now_ns () in
-            let budget = ref faults.policy.Fault.retry_budget in
-            let children = guarded_branch ~faults ~fc ~budget oracle region in
-            w0.W.children <- w0.W.children + List.length children;
-            List.iter
-              (fun child ->
-                match
-                  timed_guarded_bound ~cell:w0.W.oracle_cell ~faults ~fc ~oc
-                    ~budget oracle child
-                with
-                | Dropped_bound -> ()
-                | Bounded info -> seed_record_bounded w0 child info)
-              children;
-            seed_shed ();
-            let node_ns = Obs.Clock.now_ns () - t_node in
-            if Obs.Trace.enabled () then
-              Obs.Trace.complete ~cat:"bnb" "bnb.node" ~t0_ns:t_node
-                ~dur_ns:node_ns
-                ~args:
-                  [ ("node", Obs.Trace.Int n); ("lb", Obs.Trace.Float lb) ];
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.observe m_node_seconds (float_of_int node_ns *. 1e-9);
-            seed_us_run := (Obs.Clock.now_ns () - seed_t0_ns) / 1000;
-            seed_periodic_save ();
-            seed_loop (expansions + 1)
-          end
-    end
+  let rec seed_loop () =
+    if Pqueue.length seedq >= seed_target || !seed_nodes_run >= seed_cap then ()
+    else
+      match stop_due seed_q with
+      | Some reason -> halt reason
+      | None -> (
+          match Pqueue.pop seedq with
+          | None -> ()
+          | Some (lb, region) ->
+              if lb >= Atomic.get incumbent_cost then drop_stale seed_q
+              else begin
+                incr seed_nodes_run;
+                expand seed_q lb region;
+                seed_us_run := (Obs.Clock.now_ns () - seed_t0_ns) / 1000;
+                maybe_periodic_save seed_q
+              end;
+              seed_loop ())
   in
-  seed_loop 0;
+  seed_loop ();
   (* Deal by bound rank, round-robin: consecutive ranks land on
      different shards, so every worker starts with a comparably
      promising slice of the frontier instead of queueing up to steal
@@ -1566,24 +1240,12 @@ let run_par : type region sol.
       };
   }
 
-let run ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-    ~carries_warm oracle source =
-  if params.domains <= 1 then
-    run_seq ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-      oracle source
-  else
-    run_par ~params ~faults ~checkpointing ~interrupt ~counters ~progress
-      ~carries_warm oracle source
-
 let minimize ?(params = default_params) ?(faults = default_faults)
     ?checkpointing ?interrupt ?counters ?progress ?carries_warm oracle root =
-  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress
+  run_par ~params ~faults ~checkpointing ~interrupt ~counters ~progress
     ~carries_warm oracle (Root root)
 
 let resume ?(params = default_params) ?(faults = default_faults)
     ?checkpointing ?interrupt ?counters ?progress ?carries_warm oracle state =
-  run ~params ~faults ~checkpointing ~interrupt ~counters ~progress
+  run_par ~params ~faults ~checkpointing ~interrupt ~counters ~progress
     ~carries_warm oracle (Restored state)
-
-let minimize_parallel ?(params = default_params) ~domains oracle root =
-  minimize ~params:{ params with domains } oracle root

@@ -8,19 +8,20 @@
     keyed by lower bound, prunes regions whose bound exceeds the incumbent
     and stops on proof of optimality, a gap tolerance, or a budget.
 
-    With [params.domains > 1] the driver runs the same search across
-    that many OCaml 5 domains over a sharded work-stealing scheduler
-    (see {!Work_deque}): each domain expands nodes from its own
-    best-first shard and steals the best half of a sibling's shard when
-    dry.  The oracle must be safe to call concurrently from several
-    domains on {e distinct} regions (pure per-node functions of the
-    shared read-only problem qualify; region-local mutation is fine
-    because each region is processed by exactly one domain, even after
-    being stolen).  The incumbent cost and feasibility are identical to
-    the sequential search on a run-to-completion; the explored node
-    {e count} and ordering are scheduling-dependent under stealing.
-    With [domains = 1] (the default) the code path is the sequential
-    driver, unchanged.
+    One driver runs the search on [params.domains] OCaml 5 domains over
+    a sharded work-stealing scheduler (see {!Work_deque}): each domain
+    expands nodes from its own best-first shard and steals the best half
+    of a sibling's shard when dry.  With [domains = 1] (the default) a
+    single worker owns the only shard: nothing is seeded, stolen or
+    parked, and nodes are expanded in plain best-first order, so the
+    search is deterministic.  With [domains > 1] the oracle must be safe
+    to call concurrently from several domains on {e distinct} regions
+    (pure per-node functions of the shared read-only problem qualify;
+    region-local mutation is fine because each region is processed by
+    exactly one domain, even after being stolen).  The incumbent cost
+    and feasibility are identical to the one-domain search on a
+    run-to-completion; the explored node {e count} and ordering are
+    scheduling-dependent under stealing.
 
     {2 Fault containment}
 
@@ -73,7 +74,8 @@ type params = {
           mid-search) *)
   log_every : int;  (** emit a [Logs] debug line every n nodes; 0 = never *)
   domains : int;
-      (** number of domains exploring the tree; 1 = sequential driver *)
+      (** number of domains exploring the tree, one worker each; values
+          below 1 count as 1 *)
   max_frontier : int;
       (** bounded-memory frontier: when positive, the queued frontier is
           capped at this many regions (split evenly across shards when
@@ -86,9 +88,9 @@ type params = {
           = unlimited.  Shed counts surface in
           {!stats.frontier_shed}. *)
   seed_factor : int;
-      (** eager frontier seeding (only with [domains > 1]): before the
-          worker domains start, the calling domain best-first expands
-          the root (or a restored frontier) until it holds at least
+      (** eager frontier seeding: before the worker domains start, the
+          calling domain best-first expands the root (or a restored
+          frontier) until it holds at least
           [seed_factor * domains] regions, then deals them round-robin
           by bound rank across the shards — so every worker starts
           with local work instead of parking while shard 0 grows the
@@ -96,7 +98,8 @@ type params = {
           certified-pruning contract and the frontier cap, and its
           expansions count against [max_nodes] like any other node.
           [0] disables the expansion (the frontier is still dealt by
-          rank).  Default 4. *)
+          rank).  One domain seeds nothing whatever the factor: a single
+          shard has no sibling to deal to.  Default 4. *)
 }
 
 val default_params : params
@@ -141,20 +144,20 @@ type stats = {
   stale_pops : int;  (** queue entries dominated by a newer incumbent *)
   incumbent_updates : int;
   children_generated : int;
-  domains_used : int;  (** 1 for the sequential driver *)
+  domains_used : int;  (** worker domains that ran the search *)
   idle_wakeups : int;
       (** times a worker domain ran out of local work, found nothing to
-          steal, and actually parked; 0 for the sequential driver *)
+          steal, and actually parked; 0 on one domain *)
   steals : int;
-      (** successful steal-half transfers between shards; 0 for the
-          sequential driver *)
+      (** successful steal-half transfers between shards; 0 on one
+          domain *)
   stolen_nodes : int;
       (** total queued regions moved by steals *)
   seed_nodes : int;
       (** nodes expanded by the eager seeding phase (see
           {!params.seed_factor}) before the worker domains started;
           cumulative across a resume chain and persisted through
-          checkpoints; 0 for a purely sequential chain *)
+          checkpoints; 0 for a chain run entirely on one domain *)
   seed_seconds : float;
       (** wall-clock duration of the seeding phase (expansion + dealing),
           cumulative across a resume chain and persisted through
@@ -162,7 +165,7 @@ type stats = {
   targeted_wakeups : int;
       (** single-worker wakeup signals sent by pushes to parked workers —
           each one would have been a whole-herd broadcast under the old
-          protocol; 0 for the sequential driver *)
+          protocol; 0 on one domain *)
   steals_best_victim : int;
       (** successful steals that landed on the thief's first-choice
           victim — the shard advertising the globally minimal mirrored
@@ -216,8 +219,8 @@ type stats = {
           deliberately discarded a tainted warm point *)
   stolen_warm : int;
       (** stolen regions that carried usable warm-start state at steal
-          time (see [?carries_warm] on {!minimize}); 0 for the
-          sequential driver or without the predicate *)
+          time (see [?carries_warm] on {!minimize}); 0 on one domain
+          or without the predicate *)
   counters_reset : bool;
       (** the resume chain passed through a checkpoint written before
           the warm/miss counters existed: the warm counters restarted
@@ -407,11 +410,12 @@ val minimize :
     with [domains > 1] the calling domain then runs the eager seeding
     phase ({!params.seed_factor}) before spawning workers.
     Termination semantics (gap, node budget, wall-clock limit) are
-    identical across domain counts; in parallel the gap test uses the
-    minimum bound over queued {e and} in-flight regions across all
-    shards (read from conservative atomic mirrors), so it is never
-    optimistic, and the node budget may overshoot by at most
-    [domains - 1] nodes already claimed when the budget trips.
+    identical across domain counts: the gap test uses the minimum bound
+    over queued {e and} in-flight regions across all shards (read from
+    atomic mirrors that are conservative in parallel and exact on one
+    shard), so it is never optimistic, and the node budget may overshoot
+    by at most [domains - 1] nodes already claimed when the budget
+    trips.
     [?interrupt] is polled between nodes by every worker, without any
     lock held; returning [true] stops the search with {!Interrupted} —
     the hook for signal handlers.  [?carries_warm] is a pure O(1)
@@ -445,16 +449,8 @@ val resume :
     is re-queued at its certified keys (without re-bounding), the
     incumbent, node count, statistics and elapsed wall-clock time are
     restored, so [max_nodes] and [time_limit] budget the {e whole}
-    search across restarts.  A sequential ([domains = 1]) search killed
+    search across restarts.  A one-domain ([domains = 1]) search killed
     at any point and resumed reaches the same incumbent cost as the
     uninterrupted run (verified by property tests).  The caller is
     responsible for loading the state with a fingerprint check
     ({!Checkpoint.load}). *)
-
-val minimize_parallel :
-  ?params:params ->
-  domains:int ->
-  ('region, 'sol) oracle ->
-  'region ->
-  'sol result
-(** [minimize] with [params.domains] overridden by [domains]. *)

@@ -41,7 +41,10 @@
 (* Exact mirror publications are amortized over this many shard
    mutations.  Small enough that a stale-low bound delays the gap test
    by a handful of nodes at worst; large enough that the per-node
-   mirror cost disappears from profiles. *)
+   mirror cost disappears from profiles.  A single-shard deque publishes
+   on every mutation instead: its lone worker is the only reader, so the
+   batching saves no cross-core traffic, and exact mirrors make its gap
+   test stop on the very node a plain best-first loop would. *)
 let publish_epoch = 32
 
 (* Scheduler metrics, registered eagerly at module init; recording is
@@ -104,6 +107,7 @@ type 'a shard = {
 
 type 'a t = {
   shards : 'a shard array;
+  epoch : int;  (* mutations per exact mirror publish *)
   live : int Atomic.t;
       (* Queued + in-flight items across all shards.  Children are
          pushed (incrementing) before their parent is released
@@ -149,6 +153,7 @@ let create ?carries_warm ~workers () =
             len_mirror = Atomic.make 0;
             dirty = 0;
           });
+    epoch = (if workers = 1 then 1 else publish_epoch);
     live = Atomic.make 0;
     closed = Atomic.make false;
     idlers = Atomic.make 0;
@@ -191,7 +196,7 @@ let publish_mirrors t s =
 (* Count one mutation against the publish epoch.  Must hold [s.lock]. *)
 let note_mutation t s =
   s.dirty <- s.dirty + 1;
-  if s.dirty >= publish_epoch then publish_mirrors t s
+  if s.dirty >= t.epoch then publish_mirrors t s
 
 (* Wake exactly one parked worker iff anyone is parked.  [idlers] is
    only incremented under the park lock, and a parker re-checks the

@@ -18,7 +18,8 @@
     truth), the length mirror stale {e high} except that it reads zero
     only when the queue is truly empty (a push onto an empty-looking
     shard publishes the length immediately).  Call {!sync_mirrors} at
-    quiescence to make them exact.
+    quiescence to make them exact.  A single-shard deque publishes on
+    every mutation, so its mirrors are always exact.
 
     Concurrency contract:
     - [push]/[take]/[release] with a given [~worker] index must only be

@@ -745,8 +745,9 @@ let test_bnb_parallel_matches_sequential () =
   List.iter
     (fun domains ->
       let r =
-        Bnb.minimize_parallel ~domains (integer_quadratic_oracle 7.3)
-          (-100, 100)
+        Bnb.minimize
+          ~params:{ Bnb.default_params with domains }
+          (integer_quadratic_oracle 7.3) (-100, 100)
       in
       (match r.Bnb.best with
       | Some (x, c) ->
@@ -761,24 +762,63 @@ let test_bnb_parallel_matches_sequential () =
     [ 2; 4 ]
 
 let test_bnb_domains_one_identity () =
-  (* domains = 1 must route to the sequential driver: identical result,
-     node count and statistics, not merely an equivalent incumbent. *)
-  let a = Bnb.minimize (integer_quadratic_oracle 3.7) (-50, 50) in
-  let b =
-    Bnb.minimize_parallel ~domains:1 (integer_quadratic_oracle 3.7) (-50, 50)
-  in
+  (* A domains = 1 search is deterministic: two runs agree on the result
+     and on every statistic that is not a wall-clock timing. *)
+  let run () = Bnb.minimize (integer_quadratic_oracle 3.7) (-50, 50) in
+  let a = run () and b = run () in
   checkb "same best" true (a.Bnb.best = b.Bnb.best);
   checki "same nodes" a.Bnb.nodes_explored b.Bnb.nodes_explored;
   checkb "same stop reason" true (a.Bnb.stop_reason = b.Bnb.stop_reason);
-  (* oracle_seconds and wall_seconds are wall-clock and differ run to
-     run; every counting field must still be identical. *)
+  checkf 0.0 "same bound" a.Bnb.bound b.Bnb.bound;
   let scrub s =
-    { s with Bnb.oracle_seconds = 0.0; domain_oracle_seconds = [||];
-      wall_seconds = 0.0 }
+    {
+      s with
+      Bnb.oracle_seconds = 0.0;
+      domain_oracle_seconds = [||];
+      wall_seconds = 0.0;
+      domain_first_node_seconds = [||];
+      seed_seconds = 0.0;
+    }
   in
   checkb "same stats" true (scrub a.Bnb.stats = scrub b.Bnb.stats);
-  checki "one domain reported" 1 a.Bnb.stats.Bnb.domains_used;
-  checkf 1e-12 "same bound" a.Bnb.bound b.Bnb.bound
+  (* Pinned figures of the single-threaded best-first order (Algorithm
+     1): a driver change that reorders or re-counts the d = 1 search
+     fails here. *)
+  checkb "pinned best" true (a.Bnb.best = Some (4, (4.0 -. 3.7) ** 2.0));
+  checki "pinned nodes" 7 a.Bnb.nodes_explored;
+  checkb "pinned stop reason" true (a.Bnb.stop_reason = Bnb.Proved_optimal);
+  let s = a.Bnb.stats in
+  checki "pinned bound_pruned" 8 s.Bnb.bound_pruned;
+  checki "pinned children_generated" 14 s.Bnb.children_generated;
+  checki "pinned incumbent_updates" 1 s.Bnb.incumbent_updates;
+  checki "pinned stale_pops" 0 s.Bnb.stale_pops;
+  checki "pinned infeasible_regions" 0 s.Bnb.infeasible_regions
+
+let test_bnb_one_worker_accounting () =
+  (* domains = 1 is the work-stealing driver with a single worker: it
+     never seeds, steals or parks, reports one per-domain slot, and
+     emits exactly one bnb.node span per explored node. *)
+  let c = Obs.Trace.create () in
+  Obs.Trace.install c;
+  let r =
+    Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+        Bnb.minimize (integer_quadratic_oracle 7.3) (-1000, 1000))
+  in
+  let s = r.Bnb.stats in
+  checkb "explored nodes" true (r.Bnb.nodes_explored > 0);
+  checki "domains_used" 1 s.Bnb.domains_used;
+  checki "seed_nodes" 0 s.Bnb.seed_nodes;
+  checki "steals" 0 s.Bnb.steals;
+  checki "stolen_nodes" 0 s.Bnb.stolen_nodes;
+  checki "idle_wakeups" 0 s.Bnb.idle_wakeups;
+  checki "first-node slots" 1 (Array.length s.Bnb.domain_first_node_seconds);
+  let node_spans =
+    List.length
+      (List.filter
+         (fun e -> e.Obs.Trace.name = "bnb.node")
+         (Obs.Trace.events c))
+  in
+  checki "one bnb.node span per node" r.Bnb.nodes_explored node_spans
 
 let test_pqueue_drain () =
   let q = Pqueue.create () in
@@ -1074,8 +1114,9 @@ let prop_bnb_parallel_incumbent =
     (fun (target, domains) ->
       let seq = Bnb.minimize (integer_quadratic_oracle target) (-25, 25) in
       let par =
-        Bnb.minimize_parallel ~domains (integer_quadratic_oracle target)
-          (-25, 25)
+        Bnb.minimize
+          ~params:{ Bnb.default_params with domains }
+          (integer_quadratic_oracle target) (-25, 25)
       in
       let ok_stop r =
         match r.Bnb.stop_reason with
@@ -1500,6 +1541,8 @@ let () =
             test_bnb_chain_termination;
           Alcotest.test_case "checkpoint mid-seed resumes" `Quick
             test_bnb_seed_checkpoint_resume;
+          Alcotest.test_case "domains=1 one-worker accounting" `Quick
+            test_bnb_one_worker_accounting;
         ] );
       ("properties", qcheck_tests);
     ]
