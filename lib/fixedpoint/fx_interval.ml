@@ -18,12 +18,26 @@ let of_values fmt ~lo ~hi =
   of_raw fmt ~lo:lo_r ~hi:hi_r
 
 let full fmt = { fmt; lo_raw = Qformat.min_raw fmt; hi_raw = Qformat.max_raw fmt }
-let lo t = Qformat.value_of_raw t.fmt t.lo_raw
-let hi t = Qformat.value_of_raw t.fmt t.hi_raw
+(* [Qformat.value_of_raw], inlined: a float returned across a module
+   boundary is boxed on every call, and [mem] sits on the polish loop. *)
+let[@inline] value_of t r =
+  ldexp (float_of_int (Qformat.wrap_raw t.fmt r)) (-t.fmt.Qformat.f)
+
+let lo t = value_of t t.lo_raw
+let hi t = value_of t t.hi_raw
 let count t = t.hi_raw - t.lo_raw + 1
 let is_singleton t = t.lo_raw = t.hi_raw
 let singleton_value t = if is_singleton t then Some (lo t) else None
-let mem t x = x >= lo t && x <= hi t
+let[@inline] mem t x = x >= value_of t t.lo_raw && x <= value_of t t.hi_raw
+
+let mem_all box xs =
+  if Array.length box <> Array.length xs then
+    invalid_arg "Fx_interval.mem_all: length mismatch";
+  let ok = ref true in
+  for i = 0 to Array.length xs - 1 do
+    if !ok && not (mem box.(i) xs.(i)) then ok := false
+  done;
+  !ok
 
 (* Floor division by 2: [/] truncates toward zero, which for negative
    raw sums biases midpoints upward and makes splits of mirrored
@@ -50,10 +64,17 @@ let split ?at t =
       ( { t with hi_raw = cut },
         { t with lo_raw = cut + 1 } )
 
-let clamp_value t x =
+let[@inline] clamp_value t x =
   let r = Rounding.round_scaled Rounding.Nearest (ldexp x t.fmt.Qformat.f) in
   let r = max t.lo_raw (min r t.hi_raw) in
-  Qformat.value_of_raw t.fmt r
+  value_of t r
+
+let clamp_values box xs =
+  let out = Array.make (Array.length xs) 0.0 in
+  for j = 0 to Array.length xs - 1 do
+    out.(j) <- clamp_value box.(j) xs.(j)
+  done;
+  out
 
 let width t = hi t -. lo t
 

@@ -33,6 +33,10 @@ val singleton_value : t -> float option
 val mem : t -> float -> bool
 (** Membership of the {e real} interval [[lo, hi]] (not just grid points). *)
 
+val mem_all : t array -> float array -> bool
+(** [mem_all box xs]: every [xs.(i)] is in [box.(i)].  Allocation-free.
+    @raise Invalid_argument on a length mismatch. *)
+
 val mid : t -> float
 (** Grid point nearest the midpoint. *)
 
@@ -44,6 +48,9 @@ val split : ?at:float -> t -> (t * t) option
 
 val clamp_value : t -> float -> float
 (** Nearest grid point of the interval to a real number. *)
+
+val clamp_values : t array -> float array -> float array
+(** [clamp_value box.(j) xs.(j)] for every [j], into a fresh array. *)
 
 val width : t -> float
 (** [hi - lo]. *)

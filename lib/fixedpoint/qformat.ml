@@ -8,8 +8,8 @@ let make ~k ~f =
 
 let word_length { k; f } = k + f
 let ulp { f; _ } = ldexp 1.0 (-f)
-let min_value { k; _ } = -.ldexp 1.0 (k - 1)
-let max_value { k; f } = ldexp 1.0 (k - 1) -. ldexp 1.0 (-f)
+let[@inline] min_value { k; _ } = -.ldexp 1.0 (k - 1)
+let[@inline] max_value { k; f } = ldexp 1.0 (k - 1) -. ldexp 1.0 (-f)
 let min_raw { k; f } = -(1 lsl (k + f - 1))
 let max_raw { k; f } = (1 lsl (k + f - 1)) - 1
 let cardinality { k; f } = 1 lsl (k + f)
@@ -47,7 +47,7 @@ let raw_of_value_exn fmt x =
 let floor_to_grid fmt x = ldexp (Float.floor (ldexp x fmt.f)) (-fmt.f)
 let ceil_to_grid fmt x = ldexp (Float.ceil (ldexp x fmt.f)) (-fmt.f)
 
-let nearest_on_grid fmt x =
+let[@inline] nearest_on_grid fmt x =
   (* Float.round is round-half-away-from-zero; use banker-ish behaviour by
      rounding the scaled value with [Float.round] on the half-offset grid.
      We follow IEEE round-to-nearest-even on the scaled integer. *)
@@ -63,6 +63,18 @@ let nearest_on_grid fmt x =
       else hi
   in
   ldexp r (-fmt.f)
+
+(* Vector form of [in_range] and [nearest_on_grid], inlined: scalar
+   calls from another module would box every float. *)
+let all_on_grid fmt ~tol xs =
+  let lo = min_value fmt and hi = max_value fmt in
+  let ok = ref true in
+  for i = 0 to Array.length xs - 1 do
+    let x = xs.(i) in
+    if !ok && not (x >= lo && x <= hi && Float.abs (x -. nearest_on_grid fmt x) < tol)
+    then ok := false
+  done;
+  !ok
 
 let clamp fmt x =
   if x < min_value fmt then min_value fmt

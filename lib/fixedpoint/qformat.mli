@@ -69,6 +69,10 @@ val ceil_to_grid : t -> float -> float
 val nearest_on_grid : t -> float -> float
 (** Nearest grid value (ties toward even raw code; not range-clamped). *)
 
+val all_on_grid : t -> tol:float -> float array -> bool
+(** Every value is {!in_range} and within [tol] of its {!nearest_on_grid}
+    point.  Allocation-free. *)
+
 val clamp : t -> float -> float
 (** Clamp a real number into [[min_value, max_value]] (no rounding). *)
 

@@ -124,64 +124,100 @@ let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
 let dim t = Vec.dim t.d
 let elem_interval t j = t.elem_box.(j)
 
+(* Vec.dot and Mat.quadratic_form, inlined with their exact operation
+   order: a float returned across a module boundary is boxed on every
+   call, and these run on every candidate and polish try.  Callers
+   check the dimension. *)
+let[@inline] dot a b =
+  let s = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s +. (a.(i) *. b.(i))
+  done;
+  !s
+
+let[@inline] quadratic_form a x =
+  let s = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    s := !s +. (x.(i) *. dot a.(i) x)
+  done;
+  !s
+
+let check_dim t w =
+  if Array.length w <> Array.length t.d then
+    invalid_arg "Ldafp_problem: weight vector dimension mismatch"
+
+let[@inline] cost_of t w =
+  let tt = dot t.d w in
+  if tt = 0.0 then Float.infinity else quadratic_form t.sw w /. (tt *. tt)
+
 let cost t w =
-  let tt = Vec.dot t.d w in
-  if tt = 0.0 then Float.infinity
-  else Mat.quadratic_form t.sw w /. (tt *. tt)
+  check_dim t w;
+  cost_of t w
 
-let on_grid t w =
-  Array.for_all
-    (fun x ->
-      Qformat.in_range t.fmt x
-      && Float.abs (x -. Qformat.nearest_on_grid t.fmt x) < 1e-12)
-    w
+let on_grid t w = Qformat.all_on_grid t.fmt ~tol:1e-12 w
 
-let constraint_violation t w =
+let[@inline] violation t w =
   let lo_bound = Qformat.min_value t.fmt in
   let hi_bound = Qformat.max_value t.fmt in
   let s = t.scatter in
   let worst = ref Float.neg_infinity in
-  let push v = worst := Float.max !worst v in
-  (* Element constraints (18), exact. *)
-  Array.iteri
-    (fun j wj ->
-      let check mu sigma =
-        let spread = t.beta *. Float.abs wj *. sigma in
-        push (lo_bound -. ((wj *. mu) -. spread));
-        push ((wj *. mu) +. spread -. hi_bound)
+  (* Element constraints (18), exact; class A then class B. *)
+  for j = 0 to Array.length w - 1 do
+    let wj = w.(j) in
+    for cls = 0 to 1 do
+      let mu =
+        if cls = 0 then s.Stats.Scatter.mu_a.(j) else s.Stats.Scatter.mu_b.(j)
       in
-      check s.Stats.Scatter.mu_a.(j)
-        (sqrt (Float.max s.Stats.Scatter.sigma_a.(j).(j) 0.0));
-      check s.Stats.Scatter.mu_b.(j)
-        (sqrt (Float.max s.Stats.Scatter.sigma_b.(j).(j) 0.0)))
-    w;
+      let sg =
+        if cls = 0 then s.Stats.Scatter.sigma_a.(j).(j)
+        else s.Stats.Scatter.sigma_b.(j).(j)
+      in
+      let spread = t.beta *. Float.abs wj *. sqrt (Float.max sg 0.0) in
+      worst := Float.max !worst (lo_bound -. ((wj *. mu) -. spread));
+      worst := Float.max !worst ((wj *. mu) +. spread -. hi_bound)
+    done
+  done;
   (* Projection constraints (20), exact quadratic forms. *)
-  let check_proj mu sigma =
-    let m = Vec.dot mu w in
-    let spread = t.beta *. sqrt (Float.max (Mat.quadratic_form sigma w) 0.0) in
-    push (lo_bound -. (m -. spread));
-    push (m +. spread -. hi_bound)
-  in
-  check_proj s.Stats.Scatter.mu_a s.Stats.Scatter.sigma_a;
-  check_proj s.Stats.Scatter.mu_b s.Stats.Scatter.sigma_b;
+  for cls = 0 to 1 do
+    let mu = if cls = 0 then s.Stats.Scatter.mu_a else s.Stats.Scatter.mu_b in
+    let sigma =
+      if cls = 0 then s.Stats.Scatter.sigma_a else s.Stats.Scatter.sigma_b
+    in
+    let m = dot mu w in
+    let spread = t.beta *. sqrt (Float.max (quadratic_form sigma w) 0.0) in
+    worst := Float.max !worst (lo_bound -. (m -. spread));
+    worst := Float.max !worst (m +. spread -. hi_bound)
+  done;
   !worst
 
-let feasible ?(tol = 1e-9) t w =
-  on_grid t w
-  && Array.for_all2 (fun iv x -> Fx_interval.mem iv x) t.elem_box w
-  && constraint_violation t w <= tol
+let constraint_violation t w =
+  check_dim t w;
+  violation t w
+
+let[@inline] feasible_by tol t w =
+  check_dim t w;
+  on_grid t w && Fx_interval.mem_all t.elem_box w && violation t w <= tol
+
+let feasible ?(tol = 1e-9) t w = feasible_by tol t w
+
+let feasible_cost t w =
+  if feasible_by 1e-9 t w then
+    let c = cost_of t w in
+    if Float.is_finite c then c else Float.nan
+  else Float.nan
 
 let t_of t w = Vec.dot t.d w
 
+(* Interval range of dᵀw over a box: Σ min and Σ max of dⱼ·endpoints. *)
 let trange_of_box t wbox =
   let lo = ref 0.0 and hi = ref 0.0 in
-  Array.iteri
-    (fun j iv ->
-      let a = t.d.(j) *. Fx_interval.lo iv
-      and b = t.d.(j) *. Fx_interval.hi iv in
-      lo := !lo +. Float.min a b;
-      hi := !hi +. Float.max a b)
-    wbox;
+  for j = 0 to Array.length wbox - 1 do
+    let iv = wbox.(j) in
+    let a = t.d.(j) *. Fx_interval.lo iv
+    and b = t.d.(j) *. Fx_interval.hi iv in
+    lo := !lo +. Float.min a b;
+    hi := !hi +. Float.max a b
+  done;
   Interval.make ~lo:!lo ~hi:!hi
 
 (* Only the offsets [b] are node-specific; every direction vector is
@@ -238,20 +274,24 @@ let center_point t ~wbox ~trange =
   let m = dim t in
   let t_mid = Interval.mid trange in
   let lo_t = ref 0.0 and hi_t = ref 0.0 in
-  Array.iteri
-    (fun j iv ->
-      let a = t.d.(j) *. Fx_interval.lo iv
-      and b = t.d.(j) *. Fx_interval.hi iv in
-      lo_t := !lo_t +. Float.min a b;
-      hi_t := !hi_t +. Float.max a b)
-    wbox;
+  for j = 0 to Array.length wbox - 1 do
+    let iv = wbox.(j) in
+    let a = t.d.(j) *. Fx_interval.lo iv
+    and b = t.d.(j) *. Fx_interval.hi iv in
+    lo_t := !lo_t +. Float.min a b;
+    hi_t := !hi_t +. Float.max a b
+  done;
   let width = !hi_t -. !lo_t in
   let theta = if width <= 0.0 then 0.5 else (t_mid -. !lo_t) /. width in
-  Vec.init m (fun j ->
-      let iv = wbox.(j) in
-      let lo = Fx_interval.lo iv and hi = Fx_interval.hi iv in
-      if t.d.(j) >= 0.0 then lo +. (theta *. (hi -. lo))
-      else hi -. (theta *. (hi -. lo)))
+  let x = Array.make m 0.0 in
+  for j = 0 to m - 1 do
+    let iv = wbox.(j) in
+    let lo = Fx_interval.lo iv and hi = Fx_interval.hi iv in
+    x.(j) <-
+      (if t.d.(j) >= 0.0 then lo +. (theta *. (hi -. lo))
+       else hi -. (theta *. (hi -. lo)))
+  done;
+  x
 
 let fingerprint t = Digest.to_hex (Digest.string (Marshal.to_string t []))
 

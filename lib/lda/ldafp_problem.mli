@@ -69,6 +69,11 @@ val feasible : ?tol:float -> t -> Linalg.Vec.t -> bool
 (** Grid membership, element intervals, and [constraint_violation <= tol]
     (default [1e-9]). *)
 
+val feasible_cost : t -> Linalg.Vec.t -> float
+(** [cost t w] when [feasible t w] holds and the cost is finite, NaN
+    otherwise: the candidate test of the bound oracle and the polish
+    loop, without allocating. *)
+
 val t_of : t -> Linalg.Vec.t -> float
 (** [t = (μ_A − μ_B)ᵀ w], eq. (22). *)
 

@@ -2,7 +2,7 @@ exception Not_positive_definite of int
 
 let factor_into ?(jitter = 0.0) a ~dst =
   if not (Mat.is_square a) then invalid_arg "Cholesky.factor: not square";
-  if Mat.dims a <> Mat.dims dst then
+  if Mat.rows a <> Mat.rows dst || Mat.cols a <> Mat.cols dst then
     invalid_arg "Cholesky.factor_into: dst dimension mismatch";
   let n = Mat.rows a in
   for i = 0 to n - 1 do
@@ -27,18 +27,24 @@ let factor a =
   factor_into a ~dst:l;
   l
 
+(* The first attempt, with no jitter, succeeds on every well-posed
+   call; it returns the static constant [0.0] and computes no scale, so
+   the common path allocates nothing.  Only the retry ladder — jitter
+   1e-12·max_abs a, then ten times more per failed try — allocates. *)
 let factor_jittered_into ?(max_tries = 20) a ~dst =
-  let scale = Float.max (Mat.max_abs a) 1e-300 in
-  let rec go jitter tries =
-    if tries > max_tries then raise (Not_positive_definite (-1))
-    else
-      match factor_into ~jitter a ~dst with
-      | () -> jitter
-      | exception Not_positive_definite _ ->
-          let next = if jitter = 0.0 then 1e-12 *. scale else 10.0 *. jitter in
-          go next (tries + 1)
-  in
-  go 0.0 0
+  if max_tries < 0 then raise (Not_positive_definite (-1));
+  match factor_into a ~dst with
+  | () -> 0.0
+  | exception Not_positive_definite _ ->
+      let scale = Float.max (Mat.max_abs a) 1e-300 in
+      let rec go jitter tries =
+        if tries > max_tries then raise (Not_positive_definite (-1))
+        else
+          match factor_into ~jitter a ~dst with
+          | () -> jitter
+          | exception Not_positive_definite _ -> go (10.0 *. jitter) (tries + 1)
+      in
+      go (1e-12 *. scale) 1
 
 let factor_jittered ?max_tries a =
   let l = Mat.zeros (Mat.rows a) (Mat.cols a) in

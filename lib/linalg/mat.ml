@@ -42,8 +42,10 @@ let of_rows rs =
 
 let transpose a = init (cols a) (rows a) (fun i j -> a.(j).(i))
 
+(* Compared field by field: [dims] builds a tuple, and this check runs
+   on every Newton iteration. *)
 let check_same op a b =
-  if dims a <> dims b then
+  if rows a <> rows b || cols a <> cols b then
     invalid_arg
       (Printf.sprintf "Mat.%s: dimension mismatch (%dx%d vs %dx%d)" op (rows a)
          (cols a) (rows b) (cols b))

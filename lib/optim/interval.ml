@@ -44,36 +44,3 @@ let shift d t = { lo = t.lo +. d; hi = t.hi +. d }
 let contains_zero t = mem t 0.0
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi
-
-(* ------------------------------------------------------------------ *)
-(* Directed ("outward") rounding                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* OCaml floats round to nearest, so the true real result of one IEEE
-   +, −, × is strictly within one ulp of the computed value; stepping
-   one representable float outward therefore encloses it.  [Float.pred
-   infinity = max_float] would *shrink* an infinite endpoint, hence the
-   guards. *)
-let down x = if x = Float.neg_infinity then x else Float.pred x
-let up x = if x = Float.infinity then x else Float.succ x
-
-let wide t = { lo = down t.lo; hi = up t.hi }
-
-let wide_add a b = make ~lo:(down (a.lo +. b.lo)) ~hi:(up (a.hi +. b.hi))
-
-let neg t = { lo = -.t.hi; hi = -.t.lo }
-
-let wide_sub a b = wide_add a (neg b)
-
-(* Kahan convention: 0 · ±∞ = 0.  An exactly-zero factor contributes
-   exactly zero to the product range even when the other interval is
-   unbounded — the case the certificate's residual-absorption step hits
-   when a stationarity residual is exactly 0 on a half-open box. *)
-let prod x y = if x = 0.0 || y = 0.0 then 0.0 else x *. y
-
-let wide_mul a b =
-  let p1 = prod a.lo b.lo and p2 = prod a.lo b.hi in
-  let p3 = prod a.hi b.lo and p4 = prod a.hi b.hi in
-  let lo = Float.min (Float.min p1 p2) (Float.min p3 p4) in
-  let hi = Float.max (Float.max p1 p2) (Float.max p3 p4) in
-  make ~lo:(down lo) ~hi:(up hi)

@@ -36,7 +36,7 @@ type result = {
 val minimize : ?params:params -> oracle -> Linalg.Vec.t -> result
 (** @raise Invalid_argument if the starting point is outside the domain. *)
 
-(** {2 Allocation-lean interface}
+(** {2 Allocation-free interface}
 
     The barrier method calls Newton once per outer iteration on problems
     of a fixed dimension, so the iterate, direction, Hessian and
@@ -44,32 +44,59 @@ val minimize : ?params:params -> oracle -> Linalg.Vec.t -> result
     {b not} thread-safe: share one per domain (e.g. via [Domain.DLS]),
     never across domains. *)
 
-type oracle_into = Linalg.Vec.t -> grad:Linalg.Vec.t -> hess:Linalg.Mat.t -> float option
-(** Like {!oracle}, but writes the gradient and Hessian into the supplied
-    buffers and returns only the value ([None] outside the domain, in
-    which case the buffers' contents are unspecified).  The buffers are
-    owned by the solver and clobbered on every evaluation — oracles must
-    not retain them. *)
+type 'a oracle_into =
+  'a ->
+  Linalg.Vec.t ->
+  grad:Linalg.Vec.t ->
+  hess:Linalg.Mat.t ->
+  value:float array ->
+  bool
+(** [oracle st x ~grad ~hess ~value] evaluates the function described
+    by the state [st] at [x]: it writes the value into [value.(0)], the
+    gradient into [grad] and the Hessian into [hess], and returns
+    [true]; it returns [false] outside the domain, in which case the
+    buffers' contents are unspecified.  A NaN value is handled like
+    {!minimize}'s.  Passing the state explicitly lets the caller use a
+    top-level function, so no closure is built per call.  The buffers
+    are owned by the solver and clobbered on every evaluation — oracles
+    must not retain them. *)
 
 type workspace
 (** Reusable scratch for {!minimize_into}: iterate double-buffer,
-    gradient, Hessian, symmetrisation and Cholesky scratch, direction. *)
+    gradient, Hessian, symmetrisation and Cholesky scratch, direction,
+    and the scalars of the last solve. *)
 
 val workspace : int -> workspace
 (** [workspace n] allocates scratch for [n]-dimensional problems. *)
 
 val workspace_dim : workspace -> int
 
-val minimize_into : ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> result
-(** Same algorithm and same results as {!minimize}, but all inner-loop
-    temporaries live in the workspace, so each iteration allocates O(1)
-    words.  [x0] is not mutated; the returned iterate is freshly
-    allocated.
+val minimize_into :
+  params:params -> workspace -> 'a oracle_into -> 'a -> Linalg.Vec.t -> status
+(** Same algorithm and same results as {!minimize}, with every
+    temporary in the workspace: once the workspace exists a call
+    allocates nothing.  The final iterate is {!point}, its iteration
+    count {!iterations}.  [x0] is not mutated and may be {!point} of the
+    same workspace (a warm restart).
     @raise Invalid_argument if the starting point is outside the domain
     or its dimension does not match the workspace. *)
 
+val point : workspace -> Linalg.Vec.t
+(** The last accepted iterate of {!minimize_into} (or the start of
+    {!step_into}).  Owned by the workspace and overwritten by the next
+    call: copy it to keep it. *)
+
+val iterations : workspace -> int
+(** Newton iterations of the last {!minimize_into}. *)
+
 val step_into :
-  ?params:params -> workspace -> oracle_into -> Linalg.Vec.t -> dst:Linalg.Vec.t -> bool
+  params:params ->
+  workspace ->
+  'a oracle_into ->
+  'a ->
+  Linalg.Vec.t ->
+  dst:Linalg.Vec.t ->
+  bool
 (** One damped Newton step from [x0], written into [dst]: direction via
     the jittered Cholesky, then the same backtracking line search (with
     domain rejection) as {!minimize_into}, stopping at the first

@@ -389,6 +389,184 @@ let test_warm_prepare_repairs_branch_cut () =
         (Optim.Socp.min_relative_slack child y > 0.0);
       checkb "repair actually ran" true (prep <> Optim.Socp.Warm_interior)
 
+(* The synthetic task (paper §5.1) at Q2.5: 2000 trials per class from
+   seed 1.  Its exact search expands about a thousand nodes. *)
+let synthetic_q25 =
+  lazy
+    (let ds =
+       Datasets.Synthetic.generate ~n_per_class:2000 (Stats.Rng.create 1)
+     in
+     let a, b = Datasets.Dataset.class_split ds in
+     Ldafp_problem.build ~fmt:(Qformat.make ~k:2 ~f:5)
+       (Stats.Scatter.of_data a b))
+
+(* Minor words allocated by [f ()], net of the probe's own words. *)
+let minor_words f =
+  let probe = Gc.minor_words () in
+  let before = Gc.minor_words () in
+  let r = f () in
+  let after = Gc.minor_words () in
+  (r, after -. before -. (before -. probe))
+
+let test_oracle_allocation_budget () =
+  (* The bound oracle allocates what it returns and nothing per Newton
+     iteration, per line-search try or per interval operation. *)
+  let pb = Lazy.force synthetic_q25 in
+  let n = Ldafp_problem.dim pb in
+  let params = Lda_fp.default_config.Lda_fp.socp_params in
+  let wbox = pb.Ldafp_problem.elem_box in
+  let relax trange =
+    Ldafp_problem.relaxation pb ~wbox ~trange
+      ~eta:(Optim.Interval.sup_sq trange)
+  in
+  let root =
+    match
+      Optim.Socp.solve_auto ~params (relax pb.Ldafp_problem.t_root)
+        ~start:(Array.map Fx_interval.mid wbox)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "root relaxation infeasible"
+  in
+  (* An E9 child: split t at the parent optimum's projection, so the
+     inherited point needs the warm-start repair. *)
+  let t_opt = Ldafp_problem.t_of pb root.Optim.Socp.x in
+  let left, _ = Optim.Interval.split ~at:t_opt pb.Ldafp_problem.t_root in
+  let child = relax left in
+  let target = Ldafp_problem.center_point pb ~wbox ~trange:left in
+  let levels =
+    Optim.Socp.restart_levels params ~tau_final:root.Optim.Socp.tau_final
+  in
+  let warm = Optim.Socp.warm_start_params ~levels params in
+  let round_trip () =
+    match
+      Optim.Socp.prepare_warm_start ~params ~target child root.Optim.Socp.x
+    with
+    | None -> Alcotest.fail "the child's warm start must be repairable"
+    | Some (x0, _) ->
+        let sol = Optim.Socp.solve ~params:warm child ~start:x0 in
+        (sol, Optim.Socp.certify_lower_bound child sol)
+  in
+  for _ = 1 to 3 do
+    ignore (round_trip ())
+  done;
+  let (sol, cert), words = minor_words round_trip in
+  checkb "warm child solve certified" true (Result.is_ok cert);
+  checkb "warm child solve ran Newton iterations" true
+    (sol.Optim.Socp.newton_iterations > 10);
+  (* Returned: the repaired start and the solution's iterate (n+1 words
+     each), the option/tuple, the solution and certificate records with
+     their boxed floats — about 60 words.  One boxed float per Newton
+     iteration (more than 10 here) would break the budget. *)
+  let budget = float_of_int ((2 * (n + 1)) + 64) in
+  checkb
+    (Printf.sprintf "warm round trip allocates %.0f <= %.0f words" words budget)
+    true (words <= budget);
+  (* Polish from a feasible grid point, as the search polishes every
+     candidate: returned w (n+1 words), the pair and its boxed cost and
+     a few fixed boxed scalars, plus at most 8 words per coordinate try
+     (the candidate passed to Fx_interval.mem, the format's range bounds
+     and the returned cost are boxed floats across module boundaries),
+     at most 2·n tries per round. *)
+  let start =
+    match Ldafp_heuristics.seed_incumbent ~steps:80 ~max_rounds:0 pb with
+    | Some (w, _) -> w
+    | None -> Alcotest.fail "no feasible seed"
+  in
+  let max_rounds = Lda_fp.default_config.Lda_fp.polish_rounds in
+  let polish () = Ldafp_heuristics.coordinate_polish ~max_rounds pb start in
+  for _ = 1 to 3 do
+    ignore (polish ())
+  done;
+  let _, words = minor_words polish in
+  let budget = float_of_int ((n + 1) + 16 + (8 * 2 * n * max_rounds)) in
+  checkb
+    (Printf.sprintf "polish allocates %.0f <= %.0f words" words budget)
+    true (words <= budget)
+
+let test_search_identity_pin () =
+  (* An exact Q2.5 search at domains = 1 expands the same nodes, finds
+     the same incumbent and counts the same events as the code before
+     the allocation-free bound oracle: every certified bound that
+     decided a prune is unchanged.  Same scrubbing of wall-clock fields
+     as the bnb "domains=1 identity" test. *)
+  let pb = Lazy.force synthetic_q25 in
+  let config =
+    {
+      Lda_fp.default_config with
+      bnb_params =
+        {
+          Optim.Bnb.default_params with
+          max_nodes = 1_000_000;
+          rel_gap = 0.0;
+          abs_gap = 0.0;
+          domains = 1;
+        };
+    }
+  in
+  match Lda_fp.solve ~config pb with
+  | None -> Alcotest.fail "no feasible grid point"
+  | Some o ->
+      let d = o.Lda_fp.diagnostics in
+      checki "pinned nodes_explored" 998 d.Lda_fp.nodes;
+      checkb "pinned incumbent cost bits" true
+        (Int64.equal (Int64.bits_of_float o.Lda_fp.cost) 0x3fe3933a48bd7545L);
+      checkb "pinned stop reason" true
+        (d.Lda_fp.stop_reason = Optim.Bnb.Proved_optimal);
+      let scrub s =
+        {
+          s with
+          Optim.Bnb.oracle_seconds = 0.0;
+          domain_oracle_seconds = [||];
+          wall_seconds = 0.0;
+          domain_first_node_seconds = [||];
+          seed_seconds = 0.0;
+        }
+      in
+      let pinned =
+        {
+          Optim.Bnb.infeasible_regions = 853;
+          bound_pruned = 146;
+          stale_pops = 0;
+          incumbent_updates = 3;
+          children_generated = 1996;
+          domains_used = 1;
+          idle_wakeups = 0;
+          steals = 0;
+          stolen_nodes = 0;
+          seed_nodes = 0;
+          seed_seconds = 0.0;
+          targeted_wakeups = 0;
+          steals_best_victim = 0;
+          domain_targeted_wakeups = [| 0 |];
+          domain_steals_best_victim = [| 0 |];
+          domain_first_node_seconds = [||];
+          oracle_failures = 0;
+          retries = 0;
+          degraded_bounds = 0;
+          dropped_regions = 0;
+          warm_start_hits = 941;
+          phase1_skipped = 941;
+          warm_pull_ins = 126;
+          warm_newton_corrections = 0;
+          warm_miss_no_parent = 1;
+          warm_miss_not_interior = 79;
+          warm_miss_fault_cleared = 0;
+          stolen_warm = 0;
+          counters_reset = false;
+          cert_verified = 2727;
+          cert_repaired = 0;
+          cert_fallbacks = 0;
+          certified_sound = true;
+          frontier_shed = 0;
+          retry_budget_exhausted = 0;
+          retry_backoff_seconds = 0.0;
+          oracle_seconds = 0.0;
+          domain_oracle_seconds = [||];
+          wall_seconds = 0.0;
+        }
+      in
+      checkb "pinned stats" true (scrub d.Lda_fp.search = pinned)
+
 (* ------------------------------------------------------------------ *)
 (* Heuristics                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -990,6 +1168,10 @@ let () =
           Alcotest.test_case "time budget" `Quick test_solver_time_budget;
           Alcotest.test_case "warm matches cold" `Quick
             test_solver_warm_matches_cold;
+          Alcotest.test_case "search identity pin (exact Q2.5, d=1)" `Quick
+            test_search_identity_pin;
+          Alcotest.test_case "bound oracle allocation budget" `Quick
+            test_oracle_allocation_budget;
         ] );
       ( "classifier",
         [

@@ -62,14 +62,16 @@ let test_interval_scale_shift () =
   checkf 1e-12 "shift" 4.0 (Interval.lo t)
 
 let test_interval_directed_rounding () =
+  (* The directed-rounding operations of the reference certificate
+     (test/cert_reference.ml). *)
   (* wide_add strictly contains the rounded sum on both sides. *)
   let a = Interval.point 0.1 and b = Interval.point 0.2 in
-  let s = Interval.wide_add a b in
+  let s = Cert_reference.wide_add a b in
   checkb "sum lo below" true (Interval.lo s < 0.1 +. 0.2);
   checkb "sum hi above" true (Interval.hi s > 0.1 +. 0.2);
   (* wide_mul encloses every cross product of the endpoints. *)
   let m =
-    Interval.wide_mul
+    Cert_reference.wide_mul
       (Interval.make ~lo:0.1 ~hi:0.2)
       (Interval.make ~lo:(-0.3) ~hi:0.4)
   in
@@ -80,18 +82,18 @@ let test_interval_directed_rounding () =
     [ (0.1, -0.3); (0.1, 0.4); (0.2, -0.3); (0.2, 0.4) ];
   (* Kahan convention: an exactly-zero factor kills an unbounded one. *)
   let z =
-    Interval.wide_mul (Interval.point 0.0)
+    Cert_reference.wide_mul (Interval.point 0.0)
       (Interval.make ~lo:Float.neg_infinity ~hi:Float.infinity)
   in
   checkf 1e-12 "0 * [-inf,inf] lo" 0.0 (Interval.lo z);
   checkf 1e-12 "0 * [-inf,inf] hi" 0.0 (Interval.hi z);
   (* Infinite endpoints are preserved, never stepped inward or to NaN. *)
-  let u = Interval.wide (Interval.make ~lo:Float.neg_infinity ~hi:Float.infinity) in
+  let u = Cert_reference.wide (Interval.make ~lo:Float.neg_infinity ~hi:Float.infinity) in
   checkb "wide keeps -inf" true (Interval.lo u = Float.neg_infinity);
   checkb "wide keeps +inf" true (Interval.hi u = Float.infinity);
   (* inf - inf is NaN: the operation must refuse, not return a "bound". *)
   checkb "inf - inf raises" true
-    (match Interval.wide_sub (Interval.point Float.infinity)
+    (match Cert_reference.wide_sub (Interval.point Float.infinity)
              (Interval.point Float.infinity) with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -504,6 +506,219 @@ let prop_cert_lower_bounds_reference =
                   "dual value %.12g above reference optimum %.12g"
                   cert.Socp.dual_value reference.Socp.objective
               else true))
+
+(* Reference equivalence: the unboxed certificate returns what the
+   boxed-interval reference (test/cert_reference.ml) returns — the same
+   [Ok] fields bit for bit, or the same failure with the same message —
+   on three kinds of input: random box+cone SOCPs, child relaxations of
+   the synthetic LDA-FP problem as the E9 chain builds them, and garbage
+   iterates that exercise every failure path. *)
+let same_certificate a b =
+  let bits = Int64.bits_of_float in
+  match (a, b) with
+  | Ok x, Ok y ->
+      Int64.equal (bits x.Socp.dual_value) (bits y.Socp.dual_value)
+      && Int64.equal (bits x.Socp.slack) (bits y.Socp.slack)
+      && x.Socp.repaired = y.Socp.repaired
+  | Error (Socp.Cert_repair_failed m), Error (Socp.Cert_repair_failed m') ->
+      String.equal m m'
+  | Error (Socp.Cert_gap_excessive s), Error (Socp.Cert_gap_excessive s') ->
+      Int64.equal (bits s) (bits s')
+  | _ -> false
+
+let show_certificate = function
+  | Ok c ->
+      Printf.sprintf "Ok %h (slack %h%s)" c.Socp.dual_value c.Socp.slack
+        (if c.Socp.repaired then ", repaired" else "")
+  | Error (Socp.Cert_gap_excessive slack) ->
+      Printf.sprintf "Error gap excessive %h" slack
+  | Error f -> "Error " ^ Socp.describe_cert_failure f
+
+(* Variants of a solved iterate: as solved, jittered off the central
+   path, at a wrong barrier weight, and with a shifted objective. *)
+let perturbed rng (sol : Socp.solution) =
+  let jitter = Stats.Rng.uniform rng ~lo:1e-9 ~hi:1e-2 in
+  [
+    ("solved", sol);
+    ( "jittered",
+      { sol with
+        Socp.x =
+          Array.map
+            (fun xi -> xi +. Stats.Rng.uniform rng ~lo:(-.jitter) ~hi:jitter)
+            sol.Socp.x } );
+    ( "tau x1e-3",
+      { sol with Socp.tau_final = sol.Socp.tau_final *. 1e-3 } );
+    ( "tau x1e3",
+      { sol with Socp.tau_final = sol.Socp.tau_final *. 1e3 } );
+    ("objective +1", { sol with Socp.objective = sol.Socp.objective +. 1.0 });
+  ]
+
+let random_socp rng =
+  let n = 1 + Stats.Rng.int rng 5 in
+  let base =
+    Mat.init n n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+  in
+  let p =
+    Mat.add_scaled_identity (0.1 *. float_of_int n)
+      (Mat.mul base (Mat.transpose base))
+  in
+  let q = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-3.0) ~hi:3.0) in
+  let lo = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-2.0) ~hi:(-0.1)) in
+  let hi = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:0.1 ~hi:2.0) in
+  (* A general half-space through the box, and up to two cones that
+     contain the origin. *)
+  let a = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+  let lins =
+    { Socp.a; b = Stats.Rng.uniform rng ~lo:0.1 ~hi:1.0 }
+    :: Socp.box_constraints lo hi
+  in
+  let socs =
+    List.init (Stats.Rng.int rng 3) (fun _ ->
+        let rows = 1 + Stats.Rng.int rng 3 in
+        {
+          Socp.l =
+            Mat.init rows n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0);
+          g = Array.init rows (fun _ -> Stats.Rng.uniform rng ~lo:(-0.2) ~hi:0.2);
+          c = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-0.3) ~hi:0.3);
+          d = Stats.Rng.uniform rng ~lo:1.0 ~hi:3.0;
+        })
+  in
+  let pb = Socp.problem ~p ~q ~lins ~socs n in
+  match Socp.solve_auto pb ~start:(Vec.zeros n) with
+  | None -> []
+  | Some sol ->
+      List.map (fun (what, s) -> ("random SOCP, " ^ what, pb, s)) (perturbed rng sol)
+
+(* The E9 chain: each child splits its parent's t-range at the parent
+   optimum's projection (clamped as the branching rule clamps it), and
+   is solved warm from the repaired parent point. *)
+let synthetic_pb =
+  lazy
+    (let open Ldafp_core in
+     let ds = Datasets.Synthetic.generate ~n_per_class:2000 (Stats.Rng.create 1) in
+     let a, b = Datasets.Dataset.class_split ds in
+     Ldafp_problem.build
+       ~fmt:(Fixedpoint.Qformat.make ~k:2 ~f:5)
+       (Stats.Scatter.of_data a b))
+
+let e9_children rng =
+  let open Ldafp_core in
+  let pb = Lazy.force synthetic_pb in
+  let params = Lda_fp.default_config.Lda_fp.socp_params in
+  let wbox = pb.Ldafp_problem.elem_box in
+  let relax trange =
+    Ldafp_problem.relaxation pb ~wbox ~trange ~eta:(Interval.sup_sq trange)
+  in
+  let mid = Array.map Fixedpoint.Fx_interval.mid wbox in
+  let rec walk k trange (parent : Socp.solution) acc =
+    if k = 0 then acc
+    else begin
+      let lo = Interval.lo trange and hi = Interval.hi trange in
+      let margin = 0.15 *. (hi -. lo) in
+      let at =
+        Float.max (lo +. margin)
+          (Float.min (hi -. margin) (Ldafp_problem.t_of pb parent.Socp.x))
+      in
+      let l, r = Interval.split ~at trange in
+      let trange = if Stats.Rng.int rng 2 = 0 then l else r in
+      let child = relax trange in
+      let target = Ldafp_problem.center_point pb ~wbox ~trange in
+      let sol =
+        match Socp.prepare_warm_start ~params ~target child parent.Socp.x with
+        | Some (x0, _) ->
+            let levels =
+              Socp.restart_levels params ~tau_final:parent.Socp.tau_final
+            in
+            Some
+              (Socp.solve ~params:(Socp.warm_start_params ~levels params) child
+                 ~start:x0)
+        | None -> Socp.solve_auto ~params child ~start:mid
+      in
+      match sol with
+      | None -> acc
+      | Some sol ->
+          let cases =
+            List.map
+              (fun (what, s) -> ("E9 child, " ^ what, child, s))
+              (perturbed rng sol)
+          in
+          walk (k - 1) trange sol (cases @ acc)
+    end
+  in
+  match Socp.solve_auto ~params (relax pb.Ldafp_problem.t_root) ~start:mid with
+  | None -> []
+  | Some root -> walk (1 + Stats.Rng.int rng 4) pb.Ldafp_problem.t_root root []
+
+(* Iterates and problems built to hit each failure path: NaN data, a
+   non-centered iterate, an unusable barrier weight, an empty harvested
+   box, a residual on an unbounded coordinate, an overflowing cone. *)
+let garbage_cases rng =
+  let n = 2 in
+  let p = Mat.scale 2.0 (Mat.identity n) in
+  let q = [| Stats.Rng.uniform rng ~lo:(-2.0) ~hi:2.0; 1.0 |] in
+  let box = Array.of_list (Socp.box_constraints [| -1.0; -1.0 |] [| 1.0; 1.0 |]) in
+  let sol x tau =
+    { Socp.x; objective = 0.0; gap_bound = 0.0; tau_final = tau;
+      outer_iterations = 1; newton_iterations = 1; status = Socp.Optimal }
+  in
+  let x = [| Stats.Rng.uniform rng ~lo:(-0.9) ~hi:0.9; 0.3 |] in
+  let tau = 10.0 ** Stats.Rng.uniform rng ~lo:(-2.0) ~hi:8.0 in
+  let pb ?(p = p) ?(q = q) ?(obj_scale = 1.0) ?(socs = [||]) lins =
+    Socp.of_parts ~obj_scale ~p ~q ~lins ~socs n
+  in
+  let cone scale =
+    { Socp.l = Mat.scale scale (Mat.identity n); g = [| 0.1; 0.0 |];
+      c = [| 0.0; 0.0 |]; d = 2.0 }
+  in
+  [
+    ("non-centered iterate", pb box, sol x tau);
+    ("NaN iterate", pb box, sol [| Float.nan; 0.0 |] tau);
+    ("NaN barrier weight", pb box, sol x Float.nan);
+    ("zero barrier weight", pb box, sol x 0.0);
+    ("zero objective scale", pb ~obj_scale:0.0 box, sol x tau);
+    ("NaN linear term", pb ~q:[| Float.nan; 1.0 |] box, sol x tau);
+    ("NaN quadratic term", pb ~p:[| [| Float.nan; 0.0 |]; [| 0.0; 2.0 |] |] box,
+     sol x tau);
+    ("NaN half-space offset",
+     pb (Array.append box [| { Socp.a = [| 1.0; 1.0 |]; b = Float.nan } |]),
+     sol x tau);
+    ("infinite half-space offset",
+     pb (Array.append box [| { Socp.a = [| 1.0; 1.0 |]; b = Float.infinity } |]),
+     sol x tau);
+    ("empty harvested box",
+     pb
+       (Array.append box
+          [| { Socp.a = [| 1.0; 0.0 |]; b = -2.0 } |]),
+     sol x tau);
+    ("residual on an unbounded coordinate",
+     pb [| box.(0); box.(1); { Socp.a = [| 1.0; 1.0 |]; b = 5.0 } |],
+     sol x tau);
+    ("overflowing cone", pb ~socs:[| cone 1e300 |] box, sol x tau);
+    ("cone", pb ~socs:[| cone 0.5 |] box, sol x tau);
+    ("cone, NaN offset",
+     pb ~socs:[| { (cone 0.5) with Socp.g = [| Float.nan; 0.0 |] } |] box,
+     sol x tau);
+  ]
+
+let prop_cert_matches_reference =
+  QCheck.Test.make ~name:"certificate matches the interval reference"
+    ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Stats.Rng.create seed in
+      let cases = random_socp rng @ e9_children rng @ garbage_cases rng in
+      List.for_all
+        (fun (what, pb, sol) ->
+          List.for_all
+            (fun max_rel_slack ->
+              let got = Socp.certify_lower_bound ~max_rel_slack pb sol in
+              let want = Cert_reference.certify_lower_bound ~max_rel_slack pb sol in
+              same_certificate got want
+              || QCheck.Test.fail_reportf "%s (max_rel_slack %g): %s, reference %s"
+                   what max_rel_slack (show_certificate got)
+                   (show_certificate want))
+            [ 0.1; 1e6 ])
+        cases)
 
 let test_socp_rejects_infeasible_start () =
   let lins = Socp.box_constraints [| 0.0 |] [| 1.0 |] in
@@ -1423,6 +1638,7 @@ let qcheck_tests =
       prop_pqueue_filter_heap;
       prop_pqueue_steal_half;
       prop_cert_lower_bounds_reference;
+      prop_cert_matches_reference;
       prop_admm_agrees_with_barrier;
       prop_warm_start_agrees_with_cold;
       prop_pull_in_strictly_interior;
