@@ -26,7 +26,9 @@ val round_into :
     feasible for (20). *)
 
 val evaluate : Ldafp_problem.t -> Linalg.Vec.t -> (Linalg.Vec.t * float) option
-(** [Some (w, cost)] when [w] is exactly feasible with finite cost. *)
+(** [Some (w, cost)] when [w] is exactly feasible with finite cost.  The
+    result keeps [w] itself, not a copy: pass a vector the caller will
+    not mutate. *)
 
 val scaled_rounding_sweep :
   ?steps:int ->
