@@ -1082,10 +1082,13 @@ let run_fault_tolerance ~quick ?seed () =
 (* Batched fixed-point inference engine (lib/infer)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Failed correctness gates of the [--infer] run; the bench exits 1 after
+   writing its results when this is non-empty. *)
+let infer_gate_failures = ref []
+
 (* Throughput of the batched C-kernel datapath vs the scalar
    [Fixed_classifier] reference, plus a >= 10^5-input bit-exactness
-   sweep (the CI gate checks [batch_vs_scalar_agreement] and
-   [agreement_inputs], never the timings).  Both timed paths run on
+   sweep whose gates fail the run.  Both timed paths run on
    pre-quantised inputs: the comparison is steady-state MAC + threshold
    throughput, not the (allocating) front-end conversion. *)
 let run_infer ~quick ?seed () =
@@ -1206,21 +1209,21 @@ let run_infer ~quick ?seed () =
     Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0))
   in
   let pipeline =
-    Infer.Pipeline.create ~capacity:batch_cap
+    Infer.Stages.create ~capacity:batch_cap
       ~stages:
         [
-          Infer.Pipeline.standardize ~in_fmt:fmt ~scale_fmt:fmt ~out_fmt:fmt
+          Infer.Stages.standardize ~in_fmt:fmt ~scale_fmt:fmt ~out_fmt:fmt
             ~means ~inv_stds:(Array.make m 1.0);
-          Infer.Pipeline.project ~in_fmt:fmt ~mat_fmt:fmt ~out_fmt:fmt
+          Infer.Stages.project ~in_fmt:fmt ~mat_fmt:fmt ~out_fmt:fmt
             ~matrix:identity;
         ]
-      (Infer.Engine.Uniform clf)
+      (Ldafp_core.Hetero_classifier.of_uniform clf)
   in
-  let pbatch = Infer.Pipeline.make_batch pipeline in
+  let pbatch = Infer.Stages.make_batch pipeline in
   Array.iteri (fun c col -> Infer.Batch.load_floats pbatch ~col:c col) cols;
   Infer.Batch.set_length pbatch batch_cap;
   let pipeline_pps =
-    throughput (fun () -> Infer.Pipeline.run pipeline pbatch out)
+    throughput (fun () -> Infer.Stages.run pipeline pbatch out)
   in
   Printf.printf "  %-28s %12.3g preds/sec\n" "scalar (predict_quantized)"
     scalar_pps;
@@ -1233,6 +1236,25 @@ let run_infer ~quick ?seed () =
         pps)
     sharded;
   Printf.printf "  %-28s %12.3g preds/sec\n%!" "3-stage pipeline" pipeline_pps;
+  (* Agreement and schema only, never throughput: the batched C kernel
+     must match the scalar classifier bit-for-bit over the full >= 10^5
+     input sweep, and every preds/sec figure must be positive (the
+     figures themselves are machine noise). *)
+  infer_gate_failures :=
+    List.filter_map
+      (fun (ok, gate) -> if ok then None else Some gate)
+      [
+        (!mismatches = 0, "batch_vs_scalar_agreement == true");
+        (!mismatches = 0, "mismatches == 0");
+        (agreement_inputs >= 100_000, "agreement_inputs >= 100000");
+        ( scalar_pps > 0.0 && batched_pps > 0.0 && pipeline_pps > 0.0,
+          "scalar, batched and pipeline preds_per_sec > 0" );
+        ( List.length sharded >= 2
+          && List.for_all (fun (d, pps) -> d >= 2 && pps > 0.0) sharded,
+          ">= 2 sharded entries, each with domains >= 2 and preds_per_sec > 0"
+        );
+      ];
+  List.iter (Printf.printf "infer gate FAILED: %s\n%!") !infer_gate_failures;
   Json.Obj
     [
       ("problem", Json.Str "synthetic");
@@ -1391,7 +1413,7 @@ let () =
     Json.save path bench_json;
     Printf.printf "\nwrote %s\n%!" path
   end;
-  match o.ledger with
+  (match o.ledger with
   | None -> ()
   | Some path -> (
       match
@@ -1399,4 +1421,5 @@ let () =
           (Obs.Run_ledger.record ~kind:"bench" [ ("bench", bench_json) ])
       with
       | Ok () -> Printf.printf "appended bench record to %s\n%!" path
-      | Error msg -> Printf.eprintf "warning: %s\n%!" msg)
+      | Error msg -> Printf.eprintf "warning: %s\n%!" msg));
+  if !infer_gate_failures <> [] then exit 1

@@ -1,10 +1,6 @@
 type t = { fmt : Qformat.t; raws : int array }
 (* Invariant: every element of [raws] lies in the raw range of [fmt]. *)
 
-let create fmt n =
-  if n < 0 then invalid_arg "Fx_vector.create: negative length";
-  { fmt; raws = Array.make n 0 }
-
 let of_floats ?(mode = Rounding.Nearest) ?(ov = Rounding.Wrap) fmt xs =
   { fmt; raws = Array.map (fun x -> Fx.raw (Fx.of_float ~mode ~ov fmt x)) xs }
 
@@ -24,43 +20,29 @@ let length t = Array.length t.raws
 let format t = t.fmt
 let get t i = Fx.create t.fmt t.raws.(i)
 
-let set t i x =
-  if not (Qformat.equal (Fx.format x) t.fmt) then
-    invalid_arg "Fx_vector.set: format mismatch";
-  t.raws.(i) <- Fx.raw x
-
-let map f t = { t with raws = Array.map (fun r -> Fx.raw (f (Fx.create t.fmt r))) t.raws }
-
 let check_compatible op a b =
   if not (Qformat.equal a.fmt b.fmt) then
     invalid_arg (Printf.sprintf "Fx_vector.%s: format mismatch" op);
   if Array.length a.raws <> Array.length b.raws then
     invalid_arg (Printf.sprintf "Fx_vector.%s: length mismatch" op)
 
-let dot ?(mode = Rounding.Nearest) ?(product_ov = Rounding.Wrap) a b =
+(* Wrapping is reduction modulo 2^wl, so wrapping the rounded product
+   into [acc_fmt] before the add (as a product register would) gives the
+   same sum; OCaml's own wrap of [w * x] and [acc + p] modulo 2^63 is
+   compatible with it because wl <= 62. *)
+let mac_step acc_fmt ~shift acc w x =
+  Qformat.wrap_raw acc_fmt
+    (acc + Rounding.shift_right_rounded Rounding.Nearest (w * x) shift)
+
+let dot a b =
   check_compatible "dot" a b;
   let fmt = a.fmt in
-  let f = fmt.Qformat.f in
+  let shift = fmt.Qformat.f in
   let acc = ref 0 in
   for i = 0 to Array.length a.raws - 1 do
-    let p = a.raws.(i) * b.raws.(i) in
-    let p = Rounding.shift_right_rounded mode p f in
-    let p = Rounding.apply_overflow product_ov fmt ~what:"Fx_vector.dot" p in
-    acc := Qformat.wrap_raw fmt (!acc + p)
+    acc := mac_step fmt ~shift !acc a.raws.(i) b.raws.(i)
   done;
   Fx.create fmt !acc
-
-let dot_wide ?(mode = Rounding.Nearest) a b =
-  check_compatible "dot_wide" a b;
-  let fmt = a.fmt in
-  if 2 * Qformat.word_length fmt + 8 > 62 then
-    invalid_arg "Fx_vector.dot_wide: accumulator would exceed 62 bits";
-  let acc = ref 0 in
-  for i = 0 to Array.length a.raws - 1 do
-    acc := !acc + (a.raws.(i) * b.raws.(i))
-  done;
-  let r = Rounding.shift_right_rounded mode !acc fmt.Qformat.f in
-  Fx.create fmt r
 
 let dot_reference a b =
   check_compatible "dot_reference" a b;
@@ -68,44 +50,6 @@ let dot_reference a b =
   let s = ref 0.0 in
   Array.iteri (fun i x -> s := !s +. (x *. fb.(i))) fa;
   !s
-
-let map2 op name ?(ov = Rounding.Wrap) a b =
-  check_compatible name a b;
-  { fmt = a.fmt;
-    raws =
-      Array.mapi
-        (fun i ra ->
-          Rounding.apply_overflow ov a.fmt
-            ~what:("Fx_vector." ^ name)
-            (op ra b.raws.(i)))
-        a.raws }
-
-let add ?ov a b = map2 ( + ) "add" ?ov a b
-let sub ?ov a b = map2 ( - ) "sub" ?ov a b
-
-let neg ?(ov = Rounding.Wrap) a =
-  { a with
-    raws =
-      Array.map
-        (fun r -> Rounding.apply_overflow ov a.fmt ~what:"Fx_vector.neg" (-r))
-        a.raws }
-
-let scale ?(mode = Rounding.Nearest) ?(ov = Rounding.Wrap) c a =
-  if not (Qformat.equal (Fx.format c) a.fmt) then
-    invalid_arg "Fx_vector.scale: format mismatch";
-  { a with
-    raws =
-      Array.map
-        (fun r ->
-          let p = Fx.raw c * r in
-          let p = Rounding.shift_right_rounded mode p a.fmt.Qformat.f in
-          Rounding.apply_overflow ov a.fmt ~what:"Fx_vector.scale" p)
-        a.raws }
-
-let linf_norm t =
-  Array.fold_left
-    (fun m r -> Float.max m (Float.abs (Qformat.value_of_raw t.fmt r)))
-    0.0 t.raws
 
 let equal a b =
   Qformat.equal a.fmt b.fmt

@@ -10,9 +10,6 @@
 
 type t
 
-val create : Qformat.t -> int -> t
-(** [create fmt n] is a zero vector of length [n]. *)
-
 val of_floats :
   ?mode:Rounding.mode -> ?ov:Rounding.overflow -> Qformat.t -> float array -> t
 (** Quantise every component. *)
@@ -25,30 +22,26 @@ val to_fx : t -> Fx.t array
 val length : t -> int
 val format : t -> Qformat.t
 val get : t -> int -> Fx.t
-val set : t -> int -> Fx.t -> unit
-val map : (Fx.t -> Fx.t) -> t -> t
 
-val dot :
-  ?mode:Rounding.mode -> ?product_ov:Rounding.overflow -> t -> t -> Fx.t
-(** Hardware MAC: products rounded to the common format (overflowing per
-    [product_ov], default wrap), accumulated with wrapping adds.  This is
-    the datapath whose overflow behaviour the LDA-FP constraints (18) and
-    (20) are designed to keep safe. *)
+val mac_step : Qformat.t -> shift:int -> int -> int -> int -> int
+(** [mac_step acc_fmt ~shift acc w x] is one raw-code step of the
+    classifier's multiply-accumulate, [wrap (acc + round (w * x / 2^shift))]:
+    the product rounded half to even, the sum wrapped into [acc_fmt]
+    ({!Qformat.wrap_raw}).  [shift] is [f] for a uniform [QK.F] datapath,
+    the weight's [f] for per-weight formats.  It is the one scalar
+    definition of the MAC: {!dot}, the heterogeneous classifier and the
+    inference stages step through it, and the C kernel is checked
+    against it. *)
 
-val dot_wide : ?mode:Rounding.mode -> t -> t -> Fx.t
-(** Wide-accumulator MAC: exact raw products summed in doubled precision,
-    rounded and wrapped into the common format once at the end.  A costlier
-    datapath with a single rounding error; provided for ablation. *)
+val dot : t -> t -> Fx.t
+(** Hardware MAC: {!mac_step} over the components with [shift = F].
+    This is the datapath whose overflow behaviour the LDA-FP constraints
+    (18) and (20) are designed to keep safe.
+    @raise Invalid_argument on a format or length mismatch. *)
 
 val dot_reference : t -> t -> float
 (** Exact real-valued dot product of the quantised components (no product
     rounding, no wrapping) — the value constraints (18)/(20) reason about. *)
 
-val add : ?ov:Rounding.overflow -> t -> t -> t
-val sub : ?ov:Rounding.overflow -> t -> t -> t
-val neg : ?ov:Rounding.overflow -> t -> t
-val scale : ?mode:Rounding.mode -> ?ov:Rounding.overflow -> Fx.t -> t -> t
-
-val linf_norm : t -> float
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -43,6 +43,15 @@ let round_scaled mode s =
 let shift_right_rounded mode r n =
   if n < 0 then invalid_arg "Rounding.shift_right_rounded: negative shift";
   if n = 0 then r
+  else if n >= Sys.int_size then
+    (* [asr]/[lsl] by [int_size] or more are unspecified (x86-64 takes
+       the count mod 64).  Here |r / 2^n| <= 1/2, with equality only for
+       [min_int] at [n = int_size]. *)
+    match mode with
+    | Floor -> if r < 0 then -1 else 0
+    | Ceil -> if r > 0 then 1 else 0
+    | Toward_zero | Nearest -> 0
+    | Nearest_away -> if r = min_int && n = Sys.int_size then -1 else 0
   else
     let q = r asr n in
     (* remainder in [0, 2^n): arithmetic shift floors, so r = q*2^n + rem *)

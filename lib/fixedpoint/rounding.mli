@@ -31,8 +31,9 @@ val round_scaled : mode -> float -> int
 
 val shift_right_rounded : mode -> int -> int -> int
 (** [shift_right_rounded mode r n] computes [round(r / 2^n)] on integers
-    without going through floats; exact for any raw magnitude that fits in
-    an OCaml [int].  [n >= 0]. *)
+    without going through floats; exact for every [int] [r] and every
+    [n >= 0], including shifts of [Sys.int_size] bits or more.
+    @raise Invalid_argument if [n < 0]. *)
 
 val apply_overflow : overflow -> Qformat.t -> what:string -> int -> int
 (** Resolve an out-of-range raw code according to the overflow policy.

@@ -1,22 +1,16 @@
 open Fixedpoint
-module Fixed_classifier = Ldafp_core.Fixed_classifier
 module Hetero_classifier = Ldafp_core.Hetero_classifier
 module Scaling = Ldafp_core.Scaling
-
-type model =
-  | Uniform of Fixed_classifier.t
-  | Hetero of Hetero_classifier.t
 
 type t = {
   fmt : Qformat.t; (* accumulator / feature format *)
   bits : int; (* word_length fmt *)
-  w : Batch.ba1; (* weight raw codes *)
-  shifts : Batch.ba1; (* per-feature product shift (hetero kernel) *)
-  uniform : bool;
+  w : Batch.ba2; (* weight raw codes, one MAC output row *)
+  shifts : Batch.ba1; (* per-feature product shift: the weight's f *)
   thr_raw : int;
   polarity : bool;
   exponents : int array; (* front-end scaling, x_j / 2^e_j *)
-  proj : Batch.ba1; (* scratch projections, one per batch column *)
+  proj : Batch.ba2; (* scratch projections, (1, capacity) *)
   capacity : int;
   features : int;
 }
@@ -34,64 +28,38 @@ let m_batch_seconds =
     ~help:"Wall time of one batched predict_into call" ~lo:1e-8 ~hi:1.0
     "ldafp_infer_batch_seconds"
 
-let ba1_of_array arr =
-  let n = Array.length arr in
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n 1) in
-  Bigarray.Array1.fill b 0;
-  Array.iteri (fun i v -> b.{i} <- v) arr;
-  b
-
-let make ~fmt ~w_raws ~shifts ~uniform ~thr_raw ~polarity ~scaling ~capacity =
-  if capacity < 1 then invalid_arg "Engine.create: capacity must be >= 1";
-  let features = Array.length w_raws in
-  if features < 1 then invalid_arg "Engine.create: model has no features";
-  let proj = Bigarray.Array1.create Bigarray.int Bigarray.c_layout capacity in
-  Bigarray.Array1.fill proj 0;
+let of_hetero ?(capacity = 1024) (h : Hetero_classifier.t) =
+  if capacity < 1 then invalid_arg "Engine.of_hetero: capacity must be >= 1";
+  let features = Hetero_classifier.n_features h in
+  if features < 1 then invalid_arg "Engine.of_hetero: model has no features";
+  let row n = Bigarray.Array2.create Bigarray.int Bigarray.c_layout 1 n in
+  let w = row features and proj = row capacity in
+  Array.iteri (fun j r -> w.{0, j} <- r) h.Hetero_classifier.w_raws;
+  Bigarray.Array2.fill proj 0;
+  let fmt = h.Hetero_classifier.acc_fmt in
   {
     fmt;
     bits = Qformat.word_length fmt;
-    w = ba1_of_array w_raws;
-    shifts = ba1_of_array shifts;
-    uniform;
-    thr_raw;
-    polarity;
-    exponents = Array.init features (Scaling.exponent scaling);
+    w;
+    shifts =
+      Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout
+        (Array.map (fun f -> f.Qformat.f) h.Hetero_classifier.w_fmts);
+    thr_raw = Fx.raw h.Hetero_classifier.threshold;
+    polarity = h.Hetero_classifier.polarity;
+    exponents =
+      Array.init features (Scaling.exponent h.Hetero_classifier.scaling);
     proj;
     capacity;
     features;
   }
 
-let of_fixed ?(capacity = 1024) (clf : Fixed_classifier.t) =
-  let fmt = Fixed_classifier.format clf in
-  let w = clf.Fixed_classifier.w in
-  let w_raws =
-    Array.init (Fx_vector.length w) (fun i -> Fx.raw (Fx_vector.get w i))
-  in
-  make ~fmt ~w_raws
-    ~shifts:(Array.make (Array.length w_raws) fmt.Qformat.f)
-    ~uniform:true
-    ~thr_raw:(Fx.raw clf.Fixed_classifier.threshold)
-    ~polarity:clf.Fixed_classifier.polarity
-    ~scaling:clf.Fixed_classifier.scaling ~capacity
-
-let of_hetero ?(capacity = 1024) (h : Hetero_classifier.t) =
-  make ~fmt:h.Hetero_classifier.acc_fmt
-    ~w_raws:(Array.copy h.Hetero_classifier.w_raws)
-    ~shifts:(Array.map (fun f -> f.Qformat.f) h.Hetero_classifier.w_fmts)
-    ~uniform:false
-    ~thr_raw:(Fx.raw h.Hetero_classifier.threshold)
-    ~polarity:h.Hetero_classifier.polarity
-    ~scaling:h.Hetero_classifier.scaling ~capacity
-
-let create ?capacity = function
-  | Uniform clf -> of_fixed ?capacity clf
-  | Hetero h -> of_hetero ?capacity h
+(* A uniform classifier is the hetero case with every shift equal to f. *)
+let of_fixed ?capacity clf =
+  of_hetero ?capacity (Hetero_classifier.of_uniform clf)
 
 let n_features t = t.features
 let capacity t = t.capacity
 let format t = t.fmt
-let polarity t = t.polarity
-let threshold_raw t = t.thr_raw
 let make_batch t = Batch.create ~fmt:t.fmt ~features:t.features ~capacity:t.capacity
 
 let load t batch ~col x =
@@ -121,11 +89,9 @@ let project_into t batch =
   let n = Batch.length batch in
   if n > t.capacity then
     invalid_arg "Engine.project_into: batch longer than engine capacity";
-  if t.uniform then
-    Kernels.mac_uniform t.w (Batch.data batch) t.proj n t.fmt.Qformat.f t.bits
-  else Kernels.mac_hetero t.w t.shifts (Batch.data batch) t.proj n t.bits
+  Kernels.mac t.w t.shifts (Batch.data batch) t.proj n t.bits
 
-let projection_raw t i = Bigarray.Array1.get t.proj i
+let projection_raw t i = t.proj.{0, i}
 
 let margin t i =
   let y = Qformat.value_of_raw t.fmt (projection_raw t i) in
@@ -144,12 +110,12 @@ let predict_into t batch out =
   if t.polarity then
     for i = 0 to n - 1 do
       Bytes.unsafe_set out i
-        (if Bigarray.Array1.unsafe_get t.proj i >= thr then '\001' else '\000')
+        (if Bigarray.Array2.unsafe_get t.proj 0 i >= thr then '\001' else '\000')
     done
   else
     for i = 0 to n - 1 do
       Bytes.unsafe_set out i
-        (if Bigarray.Array1.unsafe_get t.proj i < thr then '\001' else '\000')
+        (if Bigarray.Array2.unsafe_get t.proj 0 i < thr then '\001' else '\000')
     done;
   if metrics_on then begin
     Obs.Metrics.add m_predictions_total n;

@@ -1,12 +1,15 @@
 (** Batched, allocation-free inference over trained classifiers.
 
-    An engine bakes a {!Ldafp_core.Fixed_classifier} or
-    {!Ldafp_core.Hetero_classifier} into Bigarray tables (weight codes,
-    per-feature product shifts, threshold code, scaling exponents) plus
-    one scratch projection row, and serves predictions over {!Batch}es
-    through the C MAC kernels.  The batched path is bit-for-bit
-    identical to the scalar [predict]: same front-end quantisation, same
-    wrapping multiply-accumulate, same threshold comparison.
+    An engine bakes a {!Ldafp_core.Hetero_classifier} into Bigarray
+    tables (weight codes, per-feature product shifts, threshold code,
+    scaling exponents) plus one scratch projection row, and serves
+    predictions over {!Batch}es through the C MAC kernel.  There is one
+    model kind: a uniform {!Ldafp_core.Fixed_classifier} is the
+    heterogeneous case with every weight in the accumulator format, so
+    {!of_fixed} is {!of_hetero} of [Hetero_classifier.of_uniform].  The
+    batched path is bit-for-bit identical to the scalar [predict]: same
+    front-end quantisation, same wrapping multiply-accumulate
+    ({!Fixedpoint.Fx_vector.mac_step}), same threshold comparison.
 
     The steady state allocates nothing: {!project_into} and
     {!predict_into} on a warm batch perform zero minor-heap allocations
@@ -17,29 +20,24 @@
     - [ldafp_infer_batch_seconds] — wall time of one batched call;
     - an [infer.batch] trace span per call when tracing is on. *)
 
-type model =
-  | Uniform of Ldafp_core.Fixed_classifier.t
-  | Hetero of Ldafp_core.Hetero_classifier.t
-
 type t
 
-val create : ?capacity:int -> model -> t
+val of_hetero : ?capacity:int -> Ldafp_core.Hetero_classifier.t -> t
 (** Bake the model's tables.  [capacity] (default [1024]) bounds the
     batch size served per call.
-    @raise Invalid_argument if [capacity < 1]. *)
+    @raise Invalid_argument if [capacity < 1] or the model has no
+    features. *)
 
 val of_fixed : ?capacity:int -> Ldafp_core.Fixed_classifier.t -> t
-val of_hetero : ?capacity:int -> Ldafp_core.Hetero_classifier.t -> t
+(** [of_hetero (Hetero_classifier.of_uniform clf)]. *)
 
 val n_features : t -> int
 val capacity : t -> int
 
 val format : t -> Fixedpoint.Qformat.t
-(** Accumulator / feature format (the uniform format, or the hetero
-    model's [acc_fmt]). *)
+(** Accumulator / feature format: the model's [acc_fmt] (the common
+    format of a uniform classifier). *)
 
-val polarity : t -> bool
-val threshold_raw : t -> int
 
 val make_batch : t -> Batch.t
 (** A fresh batch in the engine's input format and capacity. *)

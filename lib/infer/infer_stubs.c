@@ -1,17 +1,21 @@
-/* Batched fixed-point inference kernels for Infer.Engine / Infer.Pipeline.
+/* Batched fixed-point inference kernels for Infer.Engine / Infer.Stages.
  *
- * Every kernel reproduces the scalar OCaml datapath bit-for-bit:
+ * Two kernels: the wrapping MAC (the classifier's projection and the
+ * Project stage) and the saturating affine Standardize stage.  Both
+ * reproduce the scalar OCaml datapath bit-for-bit:
  *
  *   - products wrap modulo 2^63 (OCaml native-int multiplication), so a
  *     product is computed in uint64 (wraps mod 2^64) and then folded
  *     into the sign-extended 63-bit range;
  *   - the fractional-bit shift is Rounding.shift_right_rounded Nearest
  *     (round half to even), expressed with the same q/rem/half
- *     decomposition as the OCaml code;
- *   - accumulators wrap into the target word length after every add
- *     (Qformat.wrap_raw: mask to wl bits, then sign-extend).
+ *     decomposition as the OCaml code; the OCaml side keeps every shift
+ *     in [0, 62];
+ *   - the MAC accumulator wraps into the target word length after every
+ *     add (Fx_vector.mac_step, via Qformat.wrap_raw: mask to wl bits,
+ *     then sign-extend).
  *
- * All kernels are [@@noalloc]: they never allocate, raise, or call back
+ * Both kernels are [@@noalloc]: they never allocate, raise, or call back
  * into the runtime, and operate on untagged Bigarray int data
  * (Caml_ba_data_val) plus immediate int arguments (Long_val).  Batches
  * are laid out feature-major — Array2 of dims (features, capacity) in C
@@ -69,86 +73,6 @@ static inline int64_t sat_bits(int64_t r, intnat bits)
   return r < lo ? lo : (r > hi ? hi : r);
 }
 
-/* Uniform MAC (Fx_vector.dot): out[c] = sum_j w[j] * x[j][c], with a
- * constant fractional shift f and wrap into bits after every step.
- *   w   : Array1 (features)            raw weight codes
- *   x   : Array2 (features, capacity)  raw input codes
- *   out : Array1 (capacity)            raw projections
- */
-CAMLprim value ldafp_infer_mac_uniform(value vw, value vx, value vout,
-                                       value vlen, value vf, value vbits)
-{
-  const intnat *w = (const intnat *)Caml_ba_data_val(vw);
-  const intnat *x = (const intnat *)Caml_ba_data_val(vx);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat features = Caml_ba_array_val(vx)->dim[0];
-  intnat cap = Caml_ba_array_val(vx)->dim[1];
-  intnat len = Long_val(vlen);
-  intnat f = Long_val(vf);
-  intnat bits = Long_val(vbits);
-  intnat j, c;
-
-  for (c = 0; c < len; c++) out[c] = 0;
-  for (j = 0; j < features; j++) {
-    int64_t wj = (int64_t)w[j];
-    const intnat *row = x + j * cap;
-    for (c = 0; c < len; c++) {
-      int64_t p = mul_wrap63(wj, (int64_t)row[c]);
-      p = shr_round_even(p, f);
-      p = wrap_bits(p, bits);
-      out[c] = (intnat)wrap_bits((int64_t)out[c] + p, bits);
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value ldafp_infer_mac_uniform_bytes(value *argv, int argn)
-{
-  (void)argn;
-  return ldafp_infer_mac_uniform(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                 argv[5]);
-}
-
-/* Heterogeneous MAC (Hetero_classifier.project): per-feature weight
- * formats, so the product shift is shifts[j] (= f of weight j's format)
- * and the product is wrapped into the accumulator format before the
- * accumulate.  Inputs are already quantised into the accumulator
- * format. */
-CAMLprim value ldafp_infer_mac_hetero(value vw, value vshifts, value vx,
-                                      value vout, value vlen, value vbits)
-{
-  const intnat *w = (const intnat *)Caml_ba_data_val(vw);
-  const intnat *shifts = (const intnat *)Caml_ba_data_val(vshifts);
-  const intnat *x = (const intnat *)Caml_ba_data_val(vx);
-  intnat *out = (intnat *)Caml_ba_data_val(vout);
-  intnat features = Caml_ba_array_val(vx)->dim[0];
-  intnat cap = Caml_ba_array_val(vx)->dim[1];
-  intnat len = Long_val(vlen);
-  intnat bits = Long_val(vbits);
-  intnat j, c;
-
-  for (c = 0; c < len; c++) out[c] = 0;
-  for (j = 0; j < features; j++) {
-    int64_t wj = (int64_t)w[j];
-    intnat fj = shifts[j];
-    const intnat *row = x + j * cap;
-    for (c = 0; c < len; c++) {
-      int64_t p = mul_wrap63(wj, (int64_t)row[c]);
-      p = shr_round_even(p, fj);
-      p = wrap_bits(p, bits);
-      out[c] = (intnat)wrap_bits((int64_t)out[c] + p, bits);
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value ldafp_infer_mac_hetero_bytes(value *argv, int argn)
-{
-  (void)argn;
-  return ldafp_infer_mac_hetero(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                argv[5]);
-}
-
 /* Standardize stage: out[j][c] = sat((x[j][c] - mean[j]) * inv[j] >>r
  * shift).  The subtraction is exact (both operands share the input
  * format, so the difference fits 63 bits); the product is in units
@@ -193,14 +117,23 @@ CAMLprim value ldafp_infer_affine_bytes(value *argv, int argn)
                             argv[5], argv[6]);
 }
 
-/* Projection stage (PCA): out[o][c] = MAC_j mat[o][j] * x[j][c], the
- * same wrapping MAC as the classifier but with a rectangular matrix
- * (out_features, in_features) and an explicit shift back to the output
- * format. */
-CAMLprim value ldafp_infer_matmul(value vmat, value vx, value vout, value vlen,
-                                  value vshift, value vbits)
+/* The MAC (Fx_vector.mac_step over a matrix):
+ *   out[o][c] = MAC_j mat[o][j] * x[j][c], the product of input feature
+ *   j shifted right by shifts[j], the sum wrapped into bits.
+ *   mat    : Array2 (out_features, in_features)  raw table codes
+ *   shifts : Array1 (in_features)                product shifts
+ *   x      : Array2 (in_features, capacity)      raw input codes
+ *   out    : Array2 (out_features, capacity)     raw outputs
+ * The classifier is one output row whose shifts are the weights'
+ * fractional bits; a Project stage has a constant shift table.  The
+ * rounded product needs no wrap of its own before the add: wrapping is
+ * reduction mod 2^bits, and the int64 sum of a 63-bit product and a
+ * <= 62-bit accumulator cannot overflow. */
+CAMLprim value ldafp_infer_mac(value vmat, value vshifts, value vx,
+                               value vout, value vlen, value vbits)
 {
   const intnat *mat = (const intnat *)Caml_ba_data_val(vmat);
+  const intnat *shifts = (const intnat *)Caml_ba_data_val(vshifts);
   const intnat *x = (const intnat *)Caml_ba_data_val(vx);
   intnat *out = (intnat *)Caml_ba_data_val(vout);
   intnat out_features = Caml_ba_array_val(vmat)->dim[0];
@@ -208,7 +141,6 @@ CAMLprim value ldafp_infer_matmul(value vmat, value vx, value vout, value vlen,
   intnat cap_in = Caml_ba_array_val(vx)->dim[1];
   intnat cap_out = Caml_ba_array_val(vout)->dim[1];
   intnat len = Long_val(vlen);
-  intnat shift = Long_val(vshift);
   intnat bits = Long_val(vbits);
   intnat o, j, c;
 
@@ -218,11 +150,10 @@ CAMLprim value ldafp_infer_matmul(value vmat, value vx, value vout, value vlen,
     for (c = 0; c < len; c++) orow[c] = 0;
     for (j = 0; j < in_features; j++) {
       int64_t mj = (int64_t)mrow[j];
+      intnat sj = shifts[j];
       const intnat *row = x + j * cap_in;
       for (c = 0; c < len; c++) {
-        int64_t p = mul_wrap63(mj, (int64_t)row[c]);
-        p = shr_round_even(p, shift);
-        p = wrap_bits(p, bits);
+        int64_t p = shr_round_even(mul_wrap63(mj, (int64_t)row[c]), sj);
         orow[c] = (intnat)wrap_bits((int64_t)orow[c] + p, bits);
       }
     }
@@ -230,9 +161,9 @@ CAMLprim value ldafp_infer_matmul(value vmat, value vx, value vout, value vlen,
   return Val_unit;
 }
 
-CAMLprim value ldafp_infer_matmul_bytes(value *argv, int argn)
+CAMLprim value ldafp_infer_mac_bytes(value *argv, int argn)
 {
   (void)argn;
-  return ldafp_infer_matmul(argv[0], argv[1], argv[2], argv[3], argv[4],
-                            argv[5]);
+  return ldafp_infer_mac(argv[0], argv[1], argv[2], argv[3], argv[4],
+                         argv[5]);
 }

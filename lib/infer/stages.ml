@@ -1,5 +1,4 @@
 open Fixedpoint
-module Fixed_classifier = Ldafp_core.Fixed_classifier
 module Hetero_classifier = Ldafp_core.Hetero_classifier
 
 type stage =
@@ -16,18 +15,21 @@ type stage =
       out_fmt : Qformat.t;
       shift : int; (* f_in + f_mat - f_out *)
       mat : Batch.ba2; (* (out_features, in_features) raws in mat_fmt *)
+      shifts : Batch.ba1; (* [shift] for every input feature *)
       in_features : int;
       out_features : int;
     }
 
+(* A shift past 62 bits would leave every product 0 or -1 anyway, and
+   is undefined behaviour in the C kernels' 64-bit shifts. *)
 let stage_shift ~what ~in_fmt ~tbl_fmt ~out_fmt =
   let s = in_fmt.Qformat.f + tbl_fmt.Qformat.f - out_fmt.Qformat.f in
-  if s < 0 then
+  if s < 0 || s > 62 then
     invalid_arg
       (Printf.sprintf
-         "Pipeline.%s: negative product shift (f_in %d + f_table %d < f_out \
-          %d)"
-         what in_fmt.Qformat.f tbl_fmt.Qformat.f out_fmt.Qformat.f);
+         "Stages.%s: product shift f_in %d + f_table %d - f_out %d = %d is \
+          outside [0, 62]"
+         what in_fmt.Qformat.f tbl_fmt.Qformat.f out_fmt.Qformat.f s);
   s
 
 let quantize_table fmt xs =
@@ -41,9 +43,9 @@ let quantize_table fmt xs =
 
 let standardize ~in_fmt ~scale_fmt ~out_fmt ~means ~inv_stds =
   let m = Array.length means in
-  if m < 1 then invalid_arg "Pipeline.standardize: no features";
+  if m < 1 then invalid_arg "Stages.standardize: no features";
   if Array.length inv_stds <> m then
-    invalid_arg "Pipeline.standardize: means/inv_stds length mismatch";
+    invalid_arg "Stages.standardize: means/inv_stds length mismatch";
   Standardize
     {
       in_fmt;
@@ -56,13 +58,13 @@ let standardize ~in_fmt ~scale_fmt ~out_fmt ~means ~inv_stds =
 
 let project ~in_fmt ~mat_fmt ~out_fmt ~matrix =
   let out_features = Array.length matrix in
-  if out_features < 1 then invalid_arg "Pipeline.project: empty matrix";
+  if out_features < 1 then invalid_arg "Stages.project: empty matrix";
   let in_features = Array.length matrix.(0) in
-  if in_features < 1 then invalid_arg "Pipeline.project: empty matrix rows";
+  if in_features < 1 then invalid_arg "Stages.project: empty matrix rows";
   Array.iter
     (fun row ->
       if Array.length row <> in_features then
-        invalid_arg "Pipeline.project: ragged matrix")
+        invalid_arg "Stages.project: ragged matrix")
     matrix;
   let mat =
     Bigarray.Array2.create Bigarray.int Bigarray.c_layout out_features
@@ -74,15 +76,10 @@ let project ~in_fmt ~mat_fmt ~out_fmt ~matrix =
         Fx.raw (Fx.of_float ~ov:Rounding.Saturate mat_fmt matrix.(o).(j))
     done
   done;
-  Project
-    {
-      in_fmt;
-      out_fmt;
-      shift = stage_shift ~what:"project" ~in_fmt ~tbl_fmt:mat_fmt ~out_fmt;
-      mat;
-      in_features;
-      out_features;
-    }
+  let shift = stage_shift ~what:"project" ~in_fmt ~tbl_fmt:mat_fmt ~out_fmt in
+  let shifts = Bigarray.(Array1.create int c_layout in_features) in
+  Bigarray.Array1.fill shifts shift;
+  Project { in_fmt; out_fmt; shift; mat; shifts; in_features; out_features }
 
 let stage_in_fmt = function
   | Standardize s -> s.in_fmt
@@ -104,19 +101,19 @@ type t = {
   stages : stage array;
   bufs : Batch.t array; (* output batch of each stage *)
   engine : Engine.t;
-  model : Engine.model; (* kept for the scalar reference *)
+  model : Hetero_classifier.t; (* kept for the scalar reference *)
   in_fmt : Qformat.t;
   in_features : int;
 }
 
 let create ?(capacity = 1024) ~stages model =
   let stages = Array.of_list stages in
-  let engine = Engine.create ~capacity model in
+  let engine = Engine.of_hetero ~capacity model in
   let n = Array.length stages in
   for i = 0 to n - 2 do
     if stage_out_features stages.(i) <> stage_in_features stages.(i + 1) then
       invalid_arg
-        (Printf.sprintf "Pipeline.create: stage %d emits %d features, stage \
+        (Printf.sprintf "Stages.create: stage %d emits %d features, stage \
                          %d expects %d"
            i
            (stage_out_features stages.(i))
@@ -125,14 +122,14 @@ let create ?(capacity = 1024) ~stages model =
     if not (Qformat.equal (stage_out_fmt stages.(i)) (stage_in_fmt stages.(i + 1)))
     then
       invalid_arg
-        (Printf.sprintf "Pipeline.create: stage %d/%d format mismatch" i (i + 1))
+        (Printf.sprintf "Stages.create: stage %d/%d format mismatch" i (i + 1))
   done;
   (if n > 0 then begin
      let last = stages.(n - 1) in
      if stage_out_features last <> Engine.n_features engine then
-       invalid_arg "Pipeline.create: last stage/classifier feature mismatch";
+       invalid_arg "Stages.create: last stage/classifier feature mismatch";
      if not (Qformat.equal (stage_out_fmt last) (Engine.format engine)) then
-       invalid_arg "Pipeline.create: last stage/classifier format mismatch"
+       invalid_arg "Stages.create: last stage/classifier format mismatch"
    end);
   let bufs =
     Array.map
@@ -150,10 +147,7 @@ let create ?(capacity = 1024) ~stages model =
   in
   { stages; bufs; engine; model; in_fmt; in_features }
 
-let input_format t = t.in_fmt
-let n_raw_features t = t.in_features
 let capacity t = Engine.capacity t.engine
-let engine t = t.engine
 
 let make_batch t =
   Batch.create ~fmt:t.in_fmt ~features:t.in_features ~capacity:(capacity t)
@@ -167,16 +161,16 @@ let apply_stage stage input output =
         s.shift
         (Qformat.word_length s.out_fmt)
   | Project p ->
-      Kernels.matmul p.mat (Batch.data input) (Batch.data output) n p.shift
+      Kernels.mac p.mat p.shifts (Batch.data input) (Batch.data output) n
         (Qformat.word_length p.out_fmt)
 
 let run t input out =
   if not (Qformat.equal (Batch.format input) t.in_fmt) then
-    invalid_arg "Pipeline.run: input format mismatch";
+    invalid_arg "Stages.run: input format mismatch";
   if Batch.n_features input <> t.in_features then
-    invalid_arg "Pipeline.run: input feature mismatch";
+    invalid_arg "Stages.run: input feature mismatch";
   if Batch.length input > capacity t then
-    invalid_arg "Pipeline.run: batch longer than pipeline capacity";
+    invalid_arg "Stages.run: batch longer than pipeline capacity";
   let n = Array.length t.stages in
   for i = 0 to n - 1 do
     let src = if i = 0 then input else t.bufs.(i - 1) in
@@ -201,42 +195,19 @@ let reference_stage stage x =
       Array.init p.out_features (fun o ->
           let acc = ref 0 in
           for j = 0 to p.in_features - 1 do
-            let q = p.mat.{o, j} * x.(j) in
-            let q = Rounding.shift_right_rounded Rounding.Nearest q p.shift in
-            let q = Qformat.wrap_raw p.out_fmt q in
-            acc := Qformat.wrap_raw p.out_fmt (!acc + q)
+            acc :=
+              Fx_vector.mac_step p.out_fmt ~shift:p.shift !acc p.mat.{o, j}
+                x.(j)
           done;
           !acc)
 
-let reference_classify model (x : int array) =
-  match model with
-  | Engine.Uniform clf ->
-      let fmt = Fixed_classifier.format clf in
-      let xq = Fx_vector.of_fx (Array.map (Fx.create fmt) x) in
-      Fixed_classifier.predict_quantized clf xq
-  | Engine.Hetero h ->
-      let acc_fmt = h.Hetero_classifier.acc_fmt in
-      let acc = ref 0 in
-      Array.iteri
-        (fun j w_raw ->
-          let full = w_raw * x.(j) in
-          let p =
-            Rounding.shift_right_rounded Rounding.Nearest full
-              h.Hetero_classifier.w_fmts.(j).Qformat.f
-          in
-          let p = Qformat.wrap_raw acc_fmt p in
-          acc := Qformat.wrap_raw acc_fmt (!acc + p))
-        h.Hetero_classifier.w_raws;
-      let thr = Fx.raw h.Hetero_classifier.threshold in
-      if h.Hetero_classifier.polarity then !acc >= thr else !acc < thr
-
 let reference_predict t x =
   if Array.length x <> t.in_features then
-    invalid_arg "Pipeline.reference_predict: dimension mismatch";
+    invalid_arg "Stages.reference_predict: dimension mismatch";
   let raws =
     Array.map
       (fun v -> Fx.raw (Fx.of_float ~ov:Rounding.Saturate t.in_fmt v))
       x
   in
   let raws = Array.fold_left (fun r s -> reference_stage s r) raws t.stages in
-  reference_classify t.model raws
+  Hetero_classifier.predict_quantized t.model raws

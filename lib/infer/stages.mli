@@ -10,8 +10,9 @@
       rounded (half to even) back to the output format and {e
       saturated} — the front-end conditioning stage.
     - {!project}: a rectangular matrix MAC (PCA / learned transform),
-      wrapping like the classifier accumulator.
-    - The final stage is an {!Engine} (uniform or heterogeneous LDA).
+      the classifier's own {!Fixedpoint.Fx_vector.mac_step} with one
+      shift for every input feature, wrapping like its accumulator.
+    - The final stage is an {!Engine} (the LDA classifier).
 
     A pipeline owns one scratch batch per stage, allocated once at
     {!create}; {!run} on warm batches allocates nothing.
@@ -19,7 +20,7 @@
     Formats are explicit everywhere: a stage taking inputs in
     [Q(k_i).(f_i)] with tables in [Q(k_t).(f_t)] and producing
     [Q(k_o).(f_o)] shifts each product right by [f_i + f_t - f_o]
-    (which must be [>= 0]). *)
+    (which must lie in [[0, 62]]). *)
 
 type stage
 
@@ -32,8 +33,8 @@ val standardize :
   stage
 (** Tables are quantised saturating: [means] into [in_fmt] (so the
     subtraction is exact), [inv_stds] into [scale_fmt].
-    @raise Invalid_argument on length mismatch or a negative product
-    shift. *)
+    @raise Invalid_argument on length mismatch or a product shift
+    outside [[0, 62]]. *)
 
 val project :
   in_fmt:Fixedpoint.Qformat.t ->
@@ -42,12 +43,16 @@ val project :
   matrix:float array array ->
   stage
 (** [matrix] rows are output components ([out_features × in_features]),
-    quantised saturating into [mat_fmt]. *)
+    quantised saturating into [mat_fmt].
+    @raise Invalid_argument on an empty or ragged matrix or a product
+    shift outside [[0, 62]]. *)
 
 type t
 
-val create : ?capacity:int -> stages:stage list -> Engine.model -> t
-(** Chain the stages in front of the model.  Feature counts and formats
+val create :
+  ?capacity:int -> stages:stage list -> Ldafp_core.Hetero_classifier.t -> t
+(** Chain the stages in front of the model (a uniform classifier enters
+    as [Hetero_classifier.of_uniform clf]).  Feature counts and formats
     must chain: each stage's input matches the previous stage's output,
     and the last output matches the model's feature format.  The final
     classifier consumes the staged batch directly (its input is already
@@ -55,13 +60,11 @@ val create : ?capacity:int -> stages:stage list -> Engine.model -> t
     {e not} applied inside the pipeline).
     @raise Invalid_argument on any mismatch. *)
 
-val input_format : t -> Fixedpoint.Qformat.t
-val n_raw_features : t -> int
 val capacity : t -> int
-val engine : t -> Engine.t
 
 val make_batch : t -> Batch.t
-(** A fresh input batch ([input_format] × [n_raw_features]). *)
+(** A fresh input batch in the first stage's input format and feature
+    count (the classifier's, with no stages). *)
 
 val run : t -> Batch.t -> Bytes.t -> unit
 (** Stream the live columns of the input batch through every stage and

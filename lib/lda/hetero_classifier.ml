@@ -48,28 +48,32 @@ let n_features t = Array.length t.w_raws
 let weights t =
   Array.mapi (fun j r -> Qformat.value_of_raw t.w_fmts.(j) r) t.w_raws
 
-let project t x =
-  let scaled = Scaling.apply_vec t.scaling x in
+let quantize_input t x =
+  Array.map
+    (fun v -> Fx.raw (Fx.of_float ~ov:Rounding.Saturate t.acc_fmt v))
+    (Scaling.apply_vec t.scaling x)
+
+(* Product raw is in units 2^-(f_m + f_acc); the MAC step rounds away the
+   weight's f_m bits to land back on the accumulator's grid. *)
+let project_quantized t xq =
+  if Array.length xq <> Array.length t.w_raws then
+    invalid_arg "Hetero_classifier.predict_quantized: dimension mismatch";
   let acc = ref 0 in
   Array.iteri
     (fun j w_raw ->
-      let xq = Fx.of_float ~ov:Rounding.Saturate t.acc_fmt scaled.(j) in
-      (* Product raw is in units 2^-(f_m + f_acc); bring it back to the
-         accumulator's 2^-f_acc by rounding away f_m bits. *)
-      let full = w_raw * Fx.raw xq in
-      let p =
-        Rounding.shift_right_rounded Rounding.Nearest full
-          t.w_fmts.(j).Qformat.f
-      in
-      let p = Qformat.wrap_raw t.acc_fmt p in
-      acc := Qformat.wrap_raw t.acc_fmt (!acc + p))
+      acc :=
+        Fx_vector.mac_step t.acc_fmt ~shift:t.w_fmts.(j).Qformat.f !acc w_raw
+          xq.(j))
     t.w_raws;
   Fx.create t.acc_fmt !acc
 
-let predict t x =
-  let y = project t x in
+let predict_quantized t xq =
+  let y = project_quantized t xq in
   if t.polarity then Fx.compare y t.threshold >= 0
   else Fx.compare y t.threshold < 0
+
+let project t x = project_quantized t (quantize_input t x)
+let predict t x = predict_quantized t (quantize_input t x)
 
 let weight_bits t = Array.map Qformat.word_length t.w_fmts
 let total_weight_bits t = Array.fold_left ( + ) 0 (weight_bits t)

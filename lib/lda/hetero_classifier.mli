@@ -46,6 +46,11 @@ val predict : t -> Linalg.Vec.t -> bool
 val project : t -> Linalg.Vec.t -> Fixedpoint.Fx.t
 (** Wrapped MAC output in the accumulator format. *)
 
+val predict_quantized : t -> int array -> bool
+(** {!predict} from raw codes already quantised into [acc_fmt]: one
+    {!Fixedpoint.Fx_vector.mac_step} per weight, shifted by that
+    weight's fractional bits. *)
+
 val weight_bits : t -> int array
 (** Word length of each stored weight. *)
 

@@ -112,6 +112,20 @@ let test_shift_right_nearest_ties () =
   checki "-2.5 away" (-3)
     (Rounding.shift_right_rounded Rounding.Nearest_away (-5) 1)
 
+(* Shifts of [Sys.int_size] bits or more: the machine shift takes its
+   count mod 64 on x86-64, so [1000 asr 70] is [1000 asr 6] = 15 there,
+   and the rounded shift used to return 16 instead of 0. *)
+let test_shift_right_large_shifts () =
+  let s = Rounding.shift_right_rounded in
+  checki "1000 >> 70 nearest" 0 (s Rounding.Nearest 1000 70);
+  checki "Fx.shift_right by 70" 0
+    (Fx.raw (Fx.shift_right (Fx.create (Qformat.make ~k:31 ~f:31) 1000) 70));
+  checki "max_int >> 64 ceil" 1 (s Rounding.Ceil max_int 64);
+  checki "-1 >> 64 floor" (-1) (s Rounding.Floor (-1) 64);
+  (* min_int / 2^63 is exactly -1/2: the only tie past 62 bits. *)
+  checki "min_int >> 63 nearest-even" 0 (s Rounding.Nearest min_int 63);
+  checki "min_int >> 63 nearest-away" (-1) (s Rounding.Nearest_away min_int 63)
+
 let test_overflow_policies () =
   let fmt = Qformat.make ~k:3 ~f:0 in
   checki "wrap" (-2) (Rounding.apply_overflow Rounding.Wrap fmt ~what:"t" 6);
@@ -232,8 +246,7 @@ let test_dot_simple () =
   let w = Fx_vector.of_floats fmt [| 1.0; -0.5; 2.0 |] in
   let x = Fx_vector.of_floats fmt [| 0.5; 0.5; 1.0 |] in
   checkf "dot" 2.25 (Fx.to_float (Fx_vector.dot w x));
-  checkf "dot reference" 2.25 (Fx_vector.dot_reference w x);
-  checkf "dot wide" 2.25 (Fx.to_float (Fx_vector.dot_wide w x))
+  checkf "dot reference" 2.25 (Fx_vector.dot_reference w x)
 
 let test_dot_wrap_theorem_example () =
   (* Intermediate overflow, final value representable: wrap recovers it. *)
@@ -253,17 +266,9 @@ let test_dot_empty_and_mismatch () =
 
 let test_vector_accessors () =
   let fmt = Qformat.make ~k:2 ~f:2 in
-  let v = Fx_vector.create fmt 3 in
-  checki "zero length" 3 (Fx_vector.length v);
-  checkf "initialised to zero" 0.0 (Fx.to_float (Fx_vector.get v 1));
-  Fx_vector.set v 1 (Fx.of_float fmt 0.75);
-  checkf "set/get" 0.75 (Fx.to_float (Fx_vector.get v 1));
-  checkb "set rejects format mismatch" true
-    (match Fx_vector.set v 0 (Fx.of_float (Qformat.make ~k:2 ~f:3) 0.5) with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let doubled = Fx_vector.map (fun x -> Fx.add x x) v in
-  checkf "map" 1.5 (Fx.to_float (Fx_vector.get doubled 1));
+  let v = Fx_vector.of_floats fmt [| 0.0; 0.75; -1.0 |] in
+  checki "length" 3 (Fx_vector.length v);
+  checkf "get" 0.75 (Fx.to_float (Fx_vector.get v 1));
   checkb "of_fx rejects mixed" true
     (match
        Fx_vector.of_fx
@@ -275,22 +280,6 @@ let test_vector_accessors () =
     (match Fx_vector.of_fx [||] with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-let test_vector_ops () =
-  let fmt = Qformat.make ~k:3 ~f:3 in
-  let a = Fx_vector.of_floats fmt [| 1.0; -2.0; 0.5 |] in
-  let b = Fx_vector.of_floats fmt [| 0.25; 1.0; -0.5 |] in
-  Alcotest.(check (array (float 1e-12)))
-    "add" [| 1.25; -1.0; 0.0 |]
-    (Fx_vector.to_floats (Fx_vector.add a b));
-  Alcotest.(check (array (float 1e-12)))
-    "sub" [| 0.75; -3.0; 1.0 |]
-    (Fx_vector.to_floats (Fx_vector.sub a b));
-  checkf "linf" 2.0 (Fx_vector.linf_norm a);
-  let c = Fx.of_float fmt 2.0 in
-  Alcotest.(check (array (float 1e-12)))
-    "scale" [| 2.0; -4.0; 1.0 |]
-    (Fx_vector.to_floats (Fx_vector.scale c a))
 
 (* ------------------------------------------------------------------ *)
 (* Fx_interval                                                         *)
@@ -496,25 +485,53 @@ let prop_wrap_theorem =
       in
       Fx.raw acc = exact)
 
-let prop_dot_wide_equals_reference_when_in_range =
-  QCheck.Test.make
-    ~name:"dot_wide matches rounded exact dot when result fits" ~count:300
+(* Exact reference for [round (r / 2^n)]: the floor by repeated one-bit
+   arithmetic shifts (each exact, and floor (floor (x/2) / 2) = floor
+   (x/4)), plus the last dropped bit (the half) and whether any bit below
+   it was set (sticky). *)
+let shift_reference mode r n =
+  let q = ref r and half = ref false and sticky = ref false in
+  for _ = 1 to n do
+    sticky := !sticky || !half;
+    half := !q land 1 = 1;
+    q := !q asr 1
+  done;
+  let q = !q and half = !half and sticky = !sticky in
+  let inexact = half || sticky in
+  match mode with
+  | Rounding.Floor -> q
+  | Rounding.Ceil -> if inexact then q + 1 else q
+  | Rounding.Toward_zero -> if r < 0 && inexact then q + 1 else q
+  | Rounding.Nearest -> if half && (sticky || q land 1 = 1) then q + 1 else q
+  | Rounding.Nearest_away -> if half && (sticky || r >= 0) then q + 1 else q
+
+let prop_shift_right_rounded_exact =
+  QCheck.Test.make ~name:"shift_right_rounded is exact for n in 0..80"
+    ~count:3000
     (QCheck.make
+       ~print:(fun (r, n) -> Printf.sprintf "r = %d, n = %d" r n)
        QCheck.Gen.(
-         let* f = int_range 1 6 in
-         let fmt = Qformat.make ~k:3 ~f in
-         let* n = int_range 1 8 in
-         let value = float_range (-0.4) 0.4 in
-         let* ws = list_repeat n value in
-         let* xs = list_repeat n value in
-         return (fmt, Array.of_list ws, Array.of_list xs)))
-    (fun (fmt, ws, xs) ->
-      let w = Fx_vector.of_floats ~ov:Rounding.Saturate fmt ws in
-      let x = Fx_vector.of_floats ~ov:Rounding.Saturate fmt xs in
-      let exact = Fx_vector.dot_reference w x in
-      QCheck.assume (Qformat.in_range fmt exact);
-      let wide = Fx.to_float (Fx_vector.dot_wide w x) in
-      Float.abs (wide -. exact) <= Qformat.ulp fmt /. 2.0 +. 1e-12)
+         let* r =
+           frequency
+             [
+               (3, int);
+               (2, int_range (-4096) 4096);
+               (1, oneofl [ min_int; max_int; min_int + 1; -1; 0; 1 ]);
+               ( 2,
+                 let* k = int_range 0 61 in
+                 let* d = int_range (-1) 1 in
+                 let* neg = bool in
+                 let v = (1 lsl k) + d in
+                 return (if neg then -v else v) );
+             ]
+         in
+         let* n = int_range 0 80 in
+         return (r, n)))
+    (fun (r, n) ->
+      List.for_all
+        (fun mode ->
+          Rounding.shift_right_rounded mode r n = shift_reference mode r n)
+        Rounding.[ Nearest; Nearest_away; Toward_zero; Floor; Ceil ])
 
 let prop_interval_split_partitions =
   QCheck.Test.make ~name:"interval split partitions the grid" ~count:500
@@ -547,7 +564,7 @@ let qcheck_tests =
       prop_quantize_error_half_ulp;
       prop_wrap_add_congruent;
       prop_wrap_theorem;
-      prop_dot_wide_equals_reference_when_in_range;
+      prop_shift_right_rounded_exact;
       prop_interval_split_partitions;
       prop_nearest_on_grid_is_nearest;
     ]
@@ -571,6 +588,8 @@ let () =
           Alcotest.test_case "shift matches float" `Quick
             test_shift_right_rounded_matches_float;
           Alcotest.test_case "nearest ties" `Quick test_shift_right_nearest_ties;
+          Alcotest.test_case "shifts of 63 bits or more" `Quick
+            test_shift_right_large_shifts;
           Alcotest.test_case "overflow policies" `Quick test_overflow_policies;
           Alcotest.test_case "extreme magnitudes saturate" `Quick
             test_round_scaled_saturates;
@@ -596,7 +615,6 @@ let () =
           Alcotest.test_case "dot wrap theorem" `Quick
             test_dot_wrap_theorem_example;
           Alcotest.test_case "dot mismatch" `Quick test_dot_empty_and_mismatch;
-          Alcotest.test_case "vector ops" `Quick test_vector_ops;
           Alcotest.test_case "accessors" `Quick test_vector_accessors;
         ] );
       ( "fx_interval",

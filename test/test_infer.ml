@@ -287,17 +287,17 @@ let test_pipeline_identity_stages () =
   let eye = Array.init m (fun i -> Array.init m (fun j -> if i = j then 1.0 else 0.0)) in
   let stages =
     [
-      Infer.Pipeline.standardize ~in_fmt:fmt ~scale_fmt:(Qformat.make ~k:2 ~f:6)
+      Infer.Stages.standardize ~in_fmt:fmt ~scale_fmt:(Qformat.make ~k:2 ~f:6)
         ~out_fmt:fmt ~means:(Array.make m 0.0)
         ~inv_stds:(Array.make m 1.0);
-      Infer.Pipeline.project ~in_fmt:fmt ~mat_fmt:(Qformat.make ~k:2 ~f:6)
+      Infer.Stages.project ~in_fmt:fmt ~mat_fmt:(Qformat.make ~k:2 ~f:6)
         ~out_fmt:fmt ~matrix:eye;
     ]
   in
   let pipe =
-    Infer.Pipeline.create ~capacity:128 ~stages (Infer.Engine.Uniform clf)
+    Infer.Stages.create ~capacity:128 ~stages (Hetero_classifier.of_uniform clf)
   in
-  let batch = Infer.Pipeline.make_batch pipe in
+  let batch = Infer.Stages.make_batch pipe in
   let rng = Stats.Rng.create 11 in
   let rows =
     Array.init 128 (fun _ ->
@@ -306,7 +306,7 @@ let test_pipeline_identity_stages () =
   Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) rows;
   Infer.Batch.set_length batch 128;
   let preds = Bytes.create 128 in
-  Infer.Pipeline.run pipe batch preds;
+  Infer.Stages.run pipe batch preds;
   Array.iteri
     (fun i x ->
       checkb
@@ -353,15 +353,15 @@ let arb_pipeline_case ~rows =
       in
       let stages =
         [
-          Infer.Pipeline.standardize ~in_fmt ~scale_fmt ~out_fmt:mid_fmt
+          Infer.Stages.standardize ~in_fmt ~scale_fmt ~out_fmt:mid_fmt
             ~means ~inv_stds;
-          Infer.Pipeline.project ~in_fmt:mid_fmt ~mat_fmt ~out_fmt:acc_fmt
+          Infer.Stages.project ~in_fmt:mid_fmt ~mat_fmt ~out_fmt:acc_fmt
             ~matrix;
         ]
       in
       return
-        ( Infer.Pipeline.create ~capacity:rows ~stages
-            (Infer.Engine.Uniform clf),
+        ( Infer.Stages.create ~capacity:rows ~stages
+            (Hetero_classifier.of_uniform clf),
           Array.of_list xs ))
 
 let prop_pipeline_lockstep =
@@ -369,15 +369,15 @@ let prop_pipeline_lockstep =
     ~name:"staged pipeline == scalar lockstep reference" ~count:200
     (arb_pipeline_case ~rows:64)
     (fun (pipe, xs) ->
-      let batch = Infer.Pipeline.make_batch pipe in
+      let batch = Infer.Stages.make_batch pipe in
       Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) xs;
       Infer.Batch.set_length batch (Array.length xs);
       let preds = Bytes.create (Array.length xs) in
-      Infer.Pipeline.run pipe batch preds;
+      Infer.Stages.run pipe batch preds;
       Array.for_all
         (fun i ->
           Bytes.get preds i = '\001'
-          = Infer.Pipeline.reference_predict pipe xs.(i))
+          = Infer.Stages.reference_predict pipe xs.(i))
         (Array.init (Array.length xs) Fun.id))
 
 let test_pipeline_hetero_tail () =
@@ -391,15 +391,15 @@ let test_pipeline_hetero_tail () =
   in
   let stages =
     [
-      Infer.Pipeline.standardize ~in_fmt:acc_fmt
+      Infer.Stages.standardize ~in_fmt:acc_fmt
         ~scale_fmt:(Qformat.make ~k:2 ~f:4) ~out_fmt:acc_fmt
         ~means:[| 0.25; -0.125 |] ~inv_stds:[| 1.5; 0.75 |];
     ]
   in
   let pipe =
-    Infer.Pipeline.create ~capacity:64 ~stages (Infer.Engine.Hetero h)
+    Infer.Stages.create ~capacity:64 ~stages h
   in
-  let batch = Infer.Pipeline.make_batch pipe in
+  let batch = Infer.Stages.make_batch pipe in
   let rng = Stats.Rng.create 3 in
   let xs =
     Array.init 64 (fun _ ->
@@ -408,14 +408,36 @@ let test_pipeline_hetero_tail () =
   Array.iteri (fun c x -> Infer.Batch.load_floats batch ~col:c x) xs;
   Infer.Batch.set_length batch 64;
   let preds = Bytes.create 64 in
-  Infer.Pipeline.run pipe batch preds;
+  Infer.Stages.run pipe batch preds;
   Array.iteri
     (fun i x ->
       checkb
         (Printf.sprintf "hetero tail row %d" i)
-        (Infer.Pipeline.reference_predict pipe x)
+        (Infer.Stages.reference_predict pipe x)
         (Bytes.get preds i = '\001'))
     xs
+
+(* Q2.40 inputs times a Q2.40 table into Q8.8 is a 72-bit shift: past
+   the 62 bits a product can hold, and undefined behaviour in the C
+   kernels' 64-bit shifts. *)
+let test_stage_shift_bound () =
+  let q k f = Qformat.make ~k ~f in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: shift 72 must be refused" what
+  in
+  refused "project" (fun () ->
+      Infer.Stages.project ~in_fmt:(q 2 40) ~mat_fmt:(q 2 40)
+        ~out_fmt:(q 8 8) ~matrix:[| [| 1.0 |] |]);
+  refused "standardize" (fun () ->
+      Infer.Stages.standardize ~in_fmt:(q 2 40) ~scale_fmt:(q 2 40)
+        ~out_fmt:(q 8 8) ~means:[| 0.0 |] ~inv_stds:[| 1.0 |]);
+  (* 40 + 30 - 8 = 62 is the widest shift accepted. *)
+  ignore
+    (Infer.Stages.project ~in_fmt:(q 1 40) ~mat_fmt:(q 1 30) ~out_fmt:(q 1 8)
+       ~matrix:[| [| 0.5 |] |]
+      : Infer.Stages.stage)
 
 (* ------------------------------------------------------------------ *)
 (* C model header                                                      *)
@@ -518,6 +540,107 @@ let test_header_round_trip () =
             Fx.raw (Fx_vector.get clf.Fixed_classifier.w i))))
     (header_array "ldafp_weight_raw" text)
 
+(* The generated header plus a driver that prints ldafp_project_raw and
+   ldafp_predict_raw for each raw vector read from stdin. *)
+let header_driver =
+  {|
+int main(void)
+{
+  int32_t x[LDAFP_NUM_FEATURES];
+  long v;
+  int j;
+  (void)ldafp_scale_exponent;
+  for (;;) {
+    for (j = 0; j < LDAFP_NUM_FEATURES; j++) {
+      if (scanf("%ld", &v) != 1) return 0;
+      x[j] = (int32_t)v;
+    }
+    printf("%lld %d\n", (long long)ldafp_project_raw(x), ldafp_predict_raw(x));
+  }
+}
+|}
+
+(* Compile it with the C compiler OCaml's build uses (test/dune stages
+   its name; plain cc when run from the workspace root), run it over
+   [xs], return one (projection, verdict) per vector. *)
+let run_c_header clf xs =
+  let cc =
+    if Sys.file_exists "c_compiler.txt" then
+      String.trim (read_file "c_compiler.txt")
+    else "cc"
+  in
+  let base = Filename.temp_file "ldafp_header" "" in
+  let file ext = Filename.quote (base ^ ext) in
+  let write ext text =
+    Out_channel.with_open_bin (base ^ ext) (fun oc -> output_string oc text)
+  in
+  let sh cmd = if Sys.command cmd <> 0 then Alcotest.failf "failed: %s" cmd in
+  write ".c" ("#include <stdio.h>\n" ^ Model_io.c_header_of clf ^ header_driver);
+  write ".in"
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map
+             (fun x -> String.concat " " (List.map string_of_int (Array.to_list x)))
+             xs)));
+  sh
+    (Printf.sprintf "%s -std=c99 -O2 -Wall -Wextra -Werror -o %s %s" cc
+       (file ".exe") (file ".c"));
+  sh (Printf.sprintf "%s < %s > %s" (file ".exe") (file ".in") (file ".out"));
+  let out = read_file (base ^ ".out") in
+  List.iter
+    (fun ext -> Sys.remove (base ^ ext))
+    [ ""; ".c"; ".exe"; ".in"; ".out" ];
+  String.split_on_char '\n' out
+  |> List.filter (( <> ) "")
+  |> List.map (fun l -> Scanf.sscanf l "%d %d" (fun y p -> (y, p = 1)))
+
+(* The paper's Q3.0, small formats whose accumulators wrap often, and
+   three splits of the widest exportable word (31 bits), 1500 raw
+   vectors each biased toward the range corners. *)
+let test_header_lockstep () =
+  let rng = Random.State.make [| 14 |] in
+  let checked = ref 0 and wrapped = ref 0 in
+  List.iter
+    (fun (k, f) ->
+      let fmt = Qformat.make ~k ~f in
+      let lo = Qformat.min_raw fmt and hi = Qformat.max_raw fmt in
+      let raw () =
+        if Random.State.int rng 4 = 0 then
+          [| lo; hi; 0; 1; -1 |].(Random.State.int rng 5)
+        else lo + Random.State.full_int rng (hi - lo + 1)
+      in
+      let m = 1 + Random.State.int rng 8 in
+      let w_raws = Array.init m (fun _ -> raw ()) in
+      let clf =
+        clf_of_raws ~polarity:(Random.State.bool rng) fmt ~w_raws
+          ~thr_raw:(raw ()) ~exponents:(Array.make m 0)
+      in
+      let xs = Array.init 1500 (fun _ -> Array.init m (fun _ -> raw ())) in
+      let expected =
+        Array.map
+          (fun x ->
+            let xq = Fx_vector.of_fx (Array.map (Fx.create fmt) x) in
+            let y = Fx.raw (Fx_vector.dot clf.Fixed_classifier.w xq) in
+            let exact = ref 0 in
+            Array.iteri
+              (fun j w ->
+                exact :=
+                  !exact
+                  + Rounding.shift_right_rounded Rounding.Nearest (w * x.(j)) f)
+              w_raws;
+            if !exact <> y then incr wrapped;
+            (y, Fixed_classifier.predict_quantized clf xq))
+          xs
+      in
+      Alcotest.(check (list (pair int bool)))
+        (Printf.sprintf "Q%d.%d header == predict_quantized" k f)
+        (Array.to_list expected) (run_c_header clf xs);
+      checked := !checked + Array.length xs)
+    [ (3, 0); (2, 4); (1, 7); (4, 12); (31, 0); (16, 15); (1, 30) ];
+  checkb (Printf.sprintf "%d >= 10^4 vectors" !checked) true
+    (!checked >= 10_000);
+  checkb (Printf.sprintf "%d accumulator wraps" !wrapped) true (!wrapped > 0)
+
 let test_header_rejects_wide_words () =
   let fmt = Qformat.make ~k:16 ~f:16 in
   let clf = clf_of_raws fmt ~w_raws:[| 1 |] ~thr_raw:0 ~exponents:[| 0 |] in
@@ -558,11 +681,15 @@ let () =
             test_pipeline_identity_stages;
           Alcotest.test_case "hetero classifier tail" `Quick
             test_pipeline_hetero_tail;
+          Alcotest.test_case "product shift above 62 refused" `Quick
+            test_stage_shift_bound;
         ] );
       ( "c header",
         [
           Alcotest.test_case "golden file" `Quick test_header_golden;
           Alcotest.test_case "tables round-trip" `Quick test_header_round_trip;
+          Alcotest.test_case "lockstep with predict_quantized" `Quick
+            test_header_lockstep;
           Alcotest.test_case "wide word refused" `Quick
             test_header_rejects_wide_words;
         ] );
