@@ -1277,6 +1277,139 @@ let run_infer ~quick ?seed () =
       ("pipeline_preds_per_sec", Json.Float pipeline_pps);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Solver correctness gates                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Correctness and hit accounting only, never timing: warm and cold
+   solves agree on objectives, incumbents and certified gaps, the
+   warm-start pipeline hits, every pruning decision is certified, and
+   the work-stealing runs close the same exact search at every domain
+   count.  One gate per check, evaluated on the BENCH_solver.json tree
+   for each section that ran; a missing field or a non-finite number
+   fails its gate.  A null warm_median_ms means zero warm hits in the
+   bound kernel, reported instead of a cold-fallback median: the
+   hit-rate gates are what fail then. *)
+let field path j =
+  List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+
+let is_true path j = field path j = Some (Json.Bool true)
+
+let number path j =
+  match field path j with
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | Some (Json.Float f) when Float.is_finite f -> Some f
+  | _ -> None
+
+let is_null path j =
+  match field path j with
+  | None | Some Json.Null -> true
+  | Some (Json.Float f) -> not (Float.is_finite f)
+  | _ -> false
+
+let satisfies p path j = match number path j with Some v -> p v | None -> false
+
+let items path j =
+  match field path j with Some (Json.List l) -> Some l | _ -> None
+
+(* Every item of the list at [path] satisfies [ok], and at least [min]
+   items pass [select]; [ok] is only asked of the selected ones. *)
+let every ?(select = fun _ -> true) ?(min = 0) path ok j =
+  match items path j with
+  | None -> false
+  | Some l ->
+      let chosen = List.filter select l in
+      List.for_all ok chosen && List.length chosen >= min
+
+let label_is s r = field [ "label" ] r = Some (Json.Str s)
+
+let solver_gates bench =
+  let gates name checks =
+    match field [ name ] bench with
+    | None | Some Json.Null -> []
+    | Some j -> List.map (fun (label, ok) -> ("." ^ name ^ label, ok j)) checks
+  in
+  let runs_all f = every [ "runs" ] f in
+  gates "bound_kernel"
+    [
+      (".objective_agreement == true", is_true [ "objective_agreement" ]);
+      (".warm_hits >= 1", satisfies (fun v -> v >= 1.0) [ "warm_hits" ]);
+      ( " | (.warm_median_ms == null) == (.warm_hits == 0)",
+        fun j ->
+          is_null [ "warm_median_ms" ] j
+          = satisfies (fun v -> v = 0.0) [ "warm_hits" ] j );
+    ]
+  @ gates "parallel"
+      [
+        ( ".experiments: every domains=1 record has warm_hit_rate >= 0.5, \
+           at least one",
+          every ~select:(label_is "domains=1") ~min:1 [ "experiments" ]
+            (satisfies (fun v -> v >= 0.5) [ "warm_hit_rate" ]) );
+        ( ".warm_vs_cold.same_incumbent == true",
+          is_true [ "warm_vs_cold"; "same_incumbent" ] );
+        ( ".warm_vs_cold.same_certified_gap == true",
+          is_true [ "warm_vs_cold"; "same_certified_gap" ] );
+        ( ".certified_vs_trusting.same_incumbent == true",
+          is_true [ "certified_vs_trusting"; "same_incumbent" ] );
+        ( ".certified_vs_trusting.certified_sound == true",
+          is_true [ "certified_vs_trusting"; "certified_sound" ] );
+        ( ".certified_vs_trusting.cert_verified >= 1",
+          satisfies (fun v -> v >= 1.0)
+            [ "certified_vs_trusting"; "cert_verified" ] );
+        ( ".certified_vs_trusting.cert_fallbacks == 0",
+          satisfies (fun v -> v = 0.0)
+            [ "certified_vs_trusting"; "cert_fallbacks" ] );
+        ( ".experiments: every record but cold d=1 is certified_sound",
+          every
+            ~select:(fun r -> not (label_is "cold d=1" r))
+            [ "experiments" ] (is_true [ "certified_sound" ]) );
+        ( ".experiments: every cold d=1 record has a null scaling_efficiency, \
+           at least one",
+          every ~select:(label_is "cold d=1") ~min:1 [ "experiments" ]
+            (is_null [ "scaling_efficiency" ]) );
+      ]
+  @ gates "scaling"
+      [
+        ( ".sequential_nodes >= 1000",
+          satisfies (fun v -> v >= 1000.0) [ "sequential_nodes" ] );
+        (".runs: all feasible", runs_all (is_true [ "feasible" ]));
+        (".runs: all cost_agrees", runs_all (is_true [ "cost_agrees" ]));
+        ( ".runs: max certified_gap <= 1e-9",
+          runs_all (satisfies (fun v -> v <= 1e-9) [ "certified_gap" ]) );
+      ]
+  @ gates "scaling_deep"
+      [
+        ( ".sequential_nodes >= 10000",
+          satisfies (fun v -> v >= 10000.0) [ "sequential_nodes" ] );
+        (".runs: all feasible", runs_all (is_true [ "feasible" ]));
+        (".runs: all cost_agrees", runs_all (is_true [ "cost_agrees" ]));
+        (".runs: all gap_agrees", runs_all (is_true [ "gap_agrees" ]));
+        ( ".runs: all certified_sound",
+          runs_all (is_true [ "certified_sound" ]) );
+        ( ".runs: all cert_fallbacks == 0",
+          runs_all (satisfies (fun v -> v = 0.0) [ "cert_fallbacks" ]) );
+        ( ".runs: every domains == 1 run has seed_nodes == 0, at least one",
+          every
+            ~select:(satisfies (fun v -> v = 1.0) [ "domains" ])
+            ~min:1 [ "runs" ]
+            (satisfies (fun v -> v = 0.0) [ "seed_nodes" ]) );
+        ( ".runs: every domains > 1 run has seed_nodes >= 1 and seed_seconds \
+           >= 0, at least two",
+          every
+            ~select:(satisfies (fun v -> v > 1.0) [ "domains" ])
+            ~min:2 [ "runs" ]
+            (fun r ->
+              satisfies (fun v -> v >= 1.0) [ "seed_nodes" ] r
+              && satisfies (fun v -> v >= 0.0) [ "seed_seconds" ] r) );
+        ( ".runs: every first_node_seconds has one entry per domain",
+          runs_all (fun r ->
+              match
+                (items [ "first_node_seconds" ] r, number [ "domains" ] r)
+              with
+              | Some l, Some d -> float_of_int (List.length l) = d
+              | _ -> false) );
+      ]
+
 let () =
   let o = parse_args () in
   let seed = o.seed in
@@ -1422,4 +1555,10 @@ let () =
       with
       | Ok () -> Printf.printf "appended bench record to %s\n%!" path
       | Error msg -> Printf.eprintf "warning: %s\n%!" msg));
-  if !infer_gate_failures <> [] then exit 1
+  let solver_gate_failures =
+    List.filter_map
+      (fun (gate, ok) -> if ok then None else Some gate)
+      (solver_gates bench_json)
+  in
+  List.iter (Printf.printf "solver gate FAILED: %s\n%!") solver_gate_failures;
+  if !infer_gate_failures <> [] || solver_gate_failures <> [] then exit 1

@@ -54,10 +54,40 @@ let mul ?(mode = Rounding.Nearest) ?(ov = Rounding.Wrap) a b =
   let r = Rounding.shift_right_rounded mode p a.fmt.Qformat.f in
   { raw = Rounding.apply_overflow ov a.fmt ~what:"Fx.mul" r; fmt = a.fmt }
 
+(* raw · 2^n is decided before anything is shifted: [lsl] takes its
+   count mod 64 on x86-64 and wraps at 63 bits, flipping the sign of a
+   value it overflows, so neither its result nor [apply_overflow] of it
+   can be trusted once the exact product leaves the format. *)
 let shift_left ?(ov = Rounding.Wrap) a n =
   if n < 0 then invalid_arg "Fx.shift_left: negative shift";
-  { raw = Rounding.apply_overflow ov a.fmt ~what:"Fx.shift_left" (a.raw lsl n);
-    fmt = a.fmt }
+  let fmt = a.fmt in
+  let wl = Qformat.word_length fmt in
+  (* wl <= 62, so for n < wl the bounds shift exactly and raw·2^n fits
+     the format iff raw lies between them. *)
+  let fits =
+    a.raw = 0
+    || n < wl
+       && a.raw >= Qformat.min_raw fmt asr n
+       && a.raw <= Qformat.max_raw fmt asr n
+  in
+  let raw =
+    if fits then a.raw lsl n
+    else
+      match ov with
+      | Rounding.Wrap ->
+          (* raw·2^n mod 2^wl: zero once n >= wl; below that, [lsl]
+             wraps mod 2^63, which 2^wl divides. *)
+          if n >= wl then 0 else Qformat.wrap_raw fmt (a.raw lsl n)
+      | Rounding.Saturate ->
+          if a.raw < 0 then Qformat.min_raw fmt else Qformat.max_raw fmt
+      | Rounding.Error ->
+          raise
+            (Rounding.Fixed_point_overflow
+               (Printf.sprintf
+                  "Fx.shift_left: raw %d * 2^%d exceeds %s range [%d, %d]" a.raw n (Qformat.to_string fmt) (Qformat.min_raw fmt)
+                  (Qformat.max_raw fmt)))
+  in
+  { raw; fmt }
 
 let shift_right ?(mode = Rounding.Nearest) a n =
   if n < 0 then invalid_arg "Fx.shift_right: negative shift";

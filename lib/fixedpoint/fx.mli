@@ -43,7 +43,10 @@ val mul_exact_raw : t -> t -> int
     Useful for wide-accumulator datapaths. *)
 
 val shift_left : ?ov:Rounding.overflow -> t -> int -> t
-(** Multiply by [2^n] ([n >= 0]). *)
+(** Multiply by [2^n] ([n >= 0]) and apply [ov] (default [Wrap]) to the
+    exact product, for every [n]: [Wrap] keeps it modulo [2^wl] (zero
+    once [n >= wl]), [Saturate] clamps it by its sign, [Error] raises
+    {!Rounding.Fixed_point_overflow} when it leaves the format. *)
 
 val shift_right : ?mode:Rounding.mode -> t -> int -> t
 (** Divide by [2^n] ([n >= 0]), rounding. *)

@@ -87,13 +87,13 @@ let build ?(rho = 0.99) ?(restrict_t_positive = true) ~fmt scatter =
     let l_chol, jitter = Cholesky.factor_jittered (Mat.symmetrize sigma) in
     let slack = beta *. sqrt jitter *. max_norm_w in
     let l = Mat.scale beta (Mat.transpose l_chol) in
-    let zero_g = Vec.zeros m in
-    [
-      (* μᵀw − β√(wᵀΣw) >= lo_bound  ⇔  β‖Lᵀw‖ <= μᵀw − lo_bound *)
-      { Socp.l; g = zero_g; c = Vec.copy mu; d = -.lo_bound +. slack };
-      (* μᵀw + β√(wᵀΣw) <= hi_bound  ⇔  β‖Lᵀw‖ <= −μᵀw + hi_bound *)
-      { Socp.l; g = zero_g; c = Vec.neg mu; d = hi_bound +. slack };
-    ]
+    (* μᵀw − β√(wᵀΣw) >= lo_bound  ⇔  β‖Lᵀw‖ <= μᵀw − lo_bound *)
+    let lower =
+      Socp.cone ~l ~g:(Vec.zeros m) ~c:(Vec.copy mu) ~d:(-.lo_bound +. slack)
+    in
+    (* μᵀw + β√(wᵀΣw) <= hi_bound  ⇔  β‖Lᵀw‖ <= −μᵀw + hi_bound; the
+       same norm, so the same Gram matrix *)
+    [ lower; Socp.with_rhs lower ~c:(Vec.neg mu) ~d:(hi_bound +. slack) ]
   in
   let socs =
     Array.of_list (make_cones sig_a mu_a @ make_cones sig_b mu_b)

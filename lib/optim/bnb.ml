@@ -770,7 +770,11 @@ let run_par : type region sol.
       push : float -> region -> unit;
       release : unit -> unit;  (* a popped region is done with *)
       exhausted : unit -> bool;  (* no live work left anywhere *)
-      bound : unit -> float;  (* frontier minimum, never above the truth *)
+      bound : unit -> float;
+          (* frontier minimum, cheap; may read above the truth while
+             steals run (Work_deque.frontier_bound) *)
+      exact_bound : unit -> float;
+          (* frontier minimum at one instant, for confirming a stop *)
       length : unit -> int;  (* queued regions, for the debug log *)
       shed : unit -> (int * float) option;
           (* enforce the frontier cap: [(dropped, min_dropped_key)] *)
@@ -844,6 +848,7 @@ let run_par : type region sol.
       release = ignore;
       exhausted = (fun () -> Pqueue.is_empty seedq);
       bound = (fun () -> Pqueue.min_key seedq);
+      exact_bound = (fun () -> Pqueue.min_key seedq);
       length = (fun () -> Pqueue.length seedq);
       shed =
         (fun () ->
@@ -862,6 +867,7 @@ let run_par : type region sol.
       release = (fun () -> Work_deque.release deque ~worker:i);
       exhausted = (fun () -> Work_deque.drained deque);
       bound = (fun () -> Work_deque.frontier_bound deque);
+      exact_bound = (fun () -> Work_deque.exact_bound deque);
       length = (fun () -> Work_deque.queue_length deque);
       shed =
         (fun () ->
@@ -933,23 +939,28 @@ let run_par : type region sol.
   in
   (* The reported frontier bound: shed subtrees count against it, so the
      search cannot declare a tolerance it only reached by throwing work
-     away.  [q.bound] never exceeds the true minimum over live work, so
-     this can only under-report progress, never declare a gap early. *)
+     away. *)
   let frontier_bound (q : Q.t) =
     Float.min (q.Q.bound ()) (Atomic.get shed_bound)
+  in
+  let gap_closed inc bound =
+    let gap = inc -. bound in
+    gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
   in
   let interrupted () = match interrupt with Some f -> f () | None -> false in
   (* Exhaustion is tested before the gap, so an exhausted search reports
      Proved_optimal, not Gap_reached against an infinite frontier
-     bound. *)
+     bound.  The lock-free bound can read above the true minimum while a
+     steal moves it between shards, so a gap it closes is confirmed
+     against the exact bound before the search stops on it. *)
   let stop_due (q : Q.t) =
     let inc = Atomic.get incumbent_cost in
     if q.Q.exhausted () then Some Proved_optimal
     else if
       inc < Float.infinity
-      &&
-      let gap = inc -. frontier_bound q in
-      gap <= params.abs_gap || gap <= params.rel_gap *. Float.abs inc
+      && gap_closed inc (frontier_bound q)
+      && gap_closed inc
+           (Float.min (q.Q.exact_bound ()) (Atomic.get shed_bound))
     then Some Gap_reached
     else if Atomic.get nodes >= params.max_nodes then Some Node_budget
     else if

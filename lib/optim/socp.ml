@@ -56,7 +56,44 @@ let m_cert_slack =
     "ldafp_socp_cert_slack"
 
 type lin = { a : Vec.t; b : float }
-type soc = { l : Mat.t; g : Vec.t; c : Vec.t; d : float }
+
+(* [gram] is LᵀL, which the barrier oracle needs in every Hessian and
+   which never changes while a problem is solved: computing it once per
+   cone instead of once per oracle call is the difference between
+   O(rows·n²) and O(n²) per cone per call.  It is either [n × n] for a
+   cone over n variables or, in a phase-I problem only, the parent
+   cone's Gram shared unchanged: the extra column of L is zero there,
+   so the missing border entries are +0.0 (see [phase1_problem]). *)
+type soc = { l : Mat.t; g : Vec.t; c : Vec.t; d : float; gram : Mat.t }
+
+(* Entry (i, j) of LᵀL summed from +0.0 over the rows in order, the
+   order of the recomputing reference oracle the tests compare against
+   bit for bit.  IEEE multiplication commutes, so entry (j, i) is the
+   same float and only the upper triangle is summed. *)
+let gram_of n l =
+  let gram = Array.make_matrix n n 0.0 in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      let s = ref 0.0 in
+      for r = 0 to Array.length l - 1 do
+        s := !s +. (l.(r).(i) *. l.(r).(j))
+      done;
+      gram.(i).(j) <- !s;
+      gram.(j).(i) <- !s
+    done
+  done;
+  gram
+
+let cone ~l ~g ~c ~d =
+  let n = Vec.dim c in
+  if Vec.dim g <> Mat.rows l || Array.exists (fun row -> Vec.dim row <> n) l
+  then invalid_arg "Socp.cone: dimension mismatch";
+  { l; g; c; d; gram = gram_of n l }
+
+let with_rhs soc ~c ~d =
+  if Vec.dim c <> Vec.dim soc.c then
+    invalid_arg "Socp.with_rhs: dimension mismatch";
+  { soc with c; d }
 
 type problem = {
   n : int;
@@ -121,28 +158,49 @@ type restriction = {
 }
 
 (* Per-domain storage for restrictions.  A pool hands out its arrays in
-   order and reuses slot k whenever the k-th request asks for the same
-   length as last time, so restricting problems of one shape again —
-   every node of a branch-and-bound search — allocates only the
-   records.  Every [restrict] on a domain reuses that domain's pools, so
-   a restriction is valid until the next [restrict] on the same
-   domain. *)
-type 'a pool = { mutable slots : 'a array array; mutable used : int; fill : 'a }
+   order: the k-th request takes slot k when it has the requested
+   length, else the first later slot that does (swapped into place), and
+   allocates only when every array of that length is already handed out
+   — the displaced slot then moves to the end rather than being
+   dropped.  Restrictions of one problem differ in how many variables
+   they pin and how many half-spaces they keep, which shifts the lengths
+   along the slots; searching past slot k lets every node of a
+   branch-and-bound search reuse arrays once the pool holds enough of
+   each length, so it allocates only the records.  Every [restrict] on
+   a domain reuses that domain's pools, so a restriction is valid until
+   the next [restrict] on the same domain. *)
+type 'a pool = {
+  mutable slots : 'a array array;  (* [filled] arrays, then padding *)
+  mutable filled : int;
+  mutable used : int;  (* slots handed out since the last reset *)
+  fill : 'a;
+}
 
-let pool fill = { slots = [||]; used = 0; fill }
+let pool fill = { slots = [||]; filled = 0; used = 0; fill }
 
 let take p len =
   let k = p.used in
   p.used <- k + 1;
-  if k < Array.length p.slots && Array.length p.slots.(k) = len then p.slots.(k)
+  let j = ref k in
+  while !j < p.filled && Array.length p.slots.(!j) <> len do
+    incr j
+  done;
+  if !j < p.filled then begin
+    let a = p.slots.(!j) in
+    p.slots.(!j) <- p.slots.(k);
+    p.slots.(k) <- a;
+    a
+  end
   else begin
     let a = Array.make len p.fill in
-    if k >= Array.length p.slots then begin
-      let grown = Array.make ((2 * k) + 4) [||] in
-      Array.blit p.slots 0 grown 0 (Array.length p.slots);
+    if p.filled = Array.length p.slots then begin
+      let grown = Array.make ((2 * p.filled) + 4) [||] in
+      Array.blit p.slots 0 grown 0 p.filled;
       p.slots <- grown
     end;
+    p.slots.(p.filled) <- p.slots.(k);
     p.slots.(k) <- a;
+    p.filled <- p.filled + 1;
     a
   end
 
@@ -161,7 +219,8 @@ let restriction_key =
         rows = pool [||];
         ints = pool 0;
         lin_arrays = pool { a = [||]; b = 0.0 };
-        soc_arrays = pool { l = [||]; g = [||]; c = [||]; d = 0.0 };
+        soc_arrays =
+          pool { l = [||]; g = [||]; c = [||]; d = 0.0; gram = [||] };
       })
 
 (* [a] restricted to the free coordinates is all zero. *)
@@ -248,14 +307,24 @@ let restrict pb ~fixed =
     let socs = take bufs.soc_arrays (Array.length pb.socs) in
     let empty = ref false in
     for k = 0 to Array.length pb.socs - 1 do
-      let { l; g; c; d } = pb.socs.(k) in
+      let { l; g; c; d; gram } = pb.socs.(k) in
       let rows = Array.length l in
       let l' = take bufs.rows rows and g' = take bufs.floats rows in
       for r = 0 to rows - 1 do
         l'.(r) <- sub_vec bufs free l.(r);
         g'.(r) <- g.(r) +. dot l.(r) v
       done;
-      let soc = { l = l'; g = g'; c = sub_vec bufs free c; d = d +. dot c v } in
+      (* Restriction keeps every row of L, so each entry of the reduced
+         LᵀL is the same sum over the same rows: the principal
+         submatrix on [free], exactly. *)
+      let gram' = take bufs.rows nf in
+      for i = 0 to nf - 1 do
+        gram'.(i) <- sub_vec bufs free gram.(free.(i))
+      done;
+      let soc =
+        { l = l'; g = g'; c = sub_vec bufs free c; d = d +. dot c v;
+          gram = gram' }
+      in
       socs.(k) <- soc;
       (* A cone left without free variables is empty iff ‖g‖ > d. *)
       if
@@ -460,6 +529,14 @@ let set_barrier sc pb ~tau ~relax =
   sc.knobs.(0) <- tau;
   sc.knobs.(1) <- relax
 
+(* One entry of a cone's Hessian update,
+   h_ij + gh_i·gh_j/h² − (2c_i·c_j − 2(LᵀL)_ij)/h with [c2i] = 2c_i,
+   in the reference oracle's operation order. *)
+let[@inline] cone_hess hij ghi ghj c2i cj ltl inv_h =
+  hij
+  +. (ghi *. ghj *. inv_h *. inv_h)
+  -. (((c2i *. cj) -. (2.0 *. ltl)) *. inv_h)
+
 (* The barrier oracle ({!Newton.oracle_into}) for tau·f(x) + φ(x) of
    [sc.pb] with [sc.knobs = [| tau; relax |]]; false outside the barrier
    domain.  All temporaries live in [sc]; [grad]/[hess] are the Newton
@@ -505,7 +582,7 @@ let centering_into sc x ~grad ~hess ~value =
   done;
   let k = ref 0 in
   while !ok && !k < Array.length pb.socs do
-    let { l; g; c; d } = pb.socs.(!k) in
+    let { l; g; c; d; gram } = pb.socs.(!k) in
     incr k;
     let u = dot c x +. d +. relax in
     let rows_l = Mat.rows l in
@@ -538,17 +615,18 @@ let centering_into sc x ~grad ~hess ~value =
       for i = 0 to n - 1 do
         grad.(i) <- grad.(i) -. (sc.gh.(i) *. inv_h)
       done;
-      (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h *)
+      (* hess(-log h) = (gh ghᵀ)/h² − (2ccᵀ − 2LᵀL)/h, with LᵀL read
+         from the cone; entries past its dimension are the zero border
+         of a phase-I cone. *)
+      let gdim = Array.length gram in
       for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          let ltl = ref 0.0 in
-          for r = 0 to rows_l - 1 do
-            ltl := !ltl +. (l.(r).(i) *. l.(r).(j))
-          done;
-          hess.(i).(j) <-
-            hess.(i).(j)
-            +. (sc.gh.(i) *. sc.gh.(j) *. inv_h *. inv_h)
-            -. (((2.0 *. c.(i) *. c.(j)) -. (2.0 *. !ltl)) *. inv_h)
+        let hi = hess.(i) and ghi = sc.gh.(i) and c2i = 2.0 *. c.(i) in
+        let gi = if i < gdim then gram.(i) else [||] in
+        for j = 0 to Array.length gi - 1 do
+          hi.(j) <- cone_hess hi.(j) ghi sc.gh.(j) c2i c.(j) gi.(j) inv_h
+        done;
+        for j = Array.length gi to n - 1 do
+          hi.(j) <- cone_hess hi.(j) ghi sc.gh.(j) c2i c.(j) 0.0 inv_h
         done
       done
     end
@@ -559,11 +637,11 @@ let centering_into sc x ~grad ~hess ~value =
   end
   else false
 
-(* Allocating wrapper, kept for the derivative tests. *)
-let centering_oracle pb tau : Newton.oracle =
+(* Allocating wrapper, kept for the derivative and reference tests. *)
+let centering_oracle ?(relax = 0.0) pb tau : Newton.oracle =
  fun x ->
   let sc = scratch_for pb in
-  set_barrier sc pb ~tau ~relax:0.0;
+  set_barrier sc pb ~tau ~relax;
   let grad = Vec.zeros pb.n in
   let hess = Mat.zeros pb.n pb.n in
   let value = [| 0.0 |] in
@@ -635,10 +713,16 @@ let phase1_problem pb =
   let n = pb.n in
   let extend v extra = Array.append v [| extra |] in
   let lins = Array.map (fun { a; b } -> { a = extend a (-1.0); b }) pb.lins in
+  (* The slack's column of L is zero, so the augmented LᵀL is the
+     parent's bordered by zeros: the cone keeps the parent's n × n Gram
+     and the oracle reads the border as +0.0 — the value summing the
+     zero column gives for finite L. *)
   let socs =
     Array.map
-      (fun { l; g; c; d } ->
-        { l = Array.map (fun row -> extend row 0.0) l; g; c = extend c 1.0; d })
+      (fun ({ l; c; _ } as soc) ->
+        { soc with
+          l = Array.map (fun row -> extend row 0.0) l;
+          c = extend c 1.0 })
       pb.socs
   in
   of_parts ~p:(Mat.zeros (n + 1) (n + 1)) ~q:(extend (Vec.zeros n) 1.0) ~lins
@@ -971,6 +1055,7 @@ let solve ?(params = default_params) ?certificate pb ~start =
   end
 
 let centering_oracle_for_tests = centering_oracle
+let phase1_problem_for_tests = phase1_problem
 
 let solve_auto ?(params = default_params) pb ~start =
   match find_strictly_feasible ~params pb ~start with
@@ -1147,7 +1232,7 @@ let dual_multipliers cs pb x tau =
   done;
   let off = ref 0 in
   for k = 0 to Array.length pb.socs - 1 do
-    let { l; g; c; d } as soc = pb.socs.(k) in
+    let { l; g; c; d; _ } as soc = pb.socs.(k) in
     let rows = Mat.rows l in
     let u = dot c x +. d in
     let vv = soc_vv soc x in
@@ -1230,7 +1315,7 @@ let dual_bound cs pb x =
   done;
   let off = ref 0 in
   for k = 0 to Array.length pb.socs - 1 do
-    let { l; g; c; d } = pb.socs.(k) in
+    let { l; g; c; d; _ } = pb.socs.(k) in
     let rows = Mat.rows l in
     let w = cs.w.(k) and z = cs.z and o = !off in
     if w <> 0.0 then begin

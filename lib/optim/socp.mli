@@ -14,13 +14,33 @@
 type lin = { a : Linalg.Vec.t; b : float }
 (** The half-space [aᵀx <= b]. *)
 
-type soc = {
+type soc = private {
   l : Linalg.Mat.t;
   g : Linalg.Vec.t;
   c : Linalg.Vec.t;
   d : float;
+  gram : Linalg.Mat.t;
+      (** [lᵀl], computed once by {!cone}: the barrier oracle reads it
+          in every Hessian instead of summing over the rows of [l] on
+          every call *)
 }
-(** The cone [‖l x + g‖₂ <= cᵀx + d]. *)
+(** The cone [‖l x + g‖₂ <= cᵀx + d].  Private so that [gram] can never
+    be stale relative to [l]: build cones with {!cone} or
+    {!with_rhs}. *)
+
+val cone :
+  l:Linalg.Mat.t -> g:Linalg.Vec.t -> c:Linalg.Vec.t -> d:float -> soc
+(** The cone [‖l x + g‖₂ <= cᵀx + d] over [Vec.dim c] variables, with its
+    Gram matrix [lᵀl] ([O(rows · n²)], once).  Shares [l], [g] and [c]
+    instead of copying: callers must not mutate them afterwards.
+    @raise Invalid_argument unless [g] has one entry per row of [l] and
+    every row of [l] has [Vec.dim c] entries. *)
+
+val with_rhs : soc -> c:Linalg.Vec.t -> d:float -> soc
+(** The cone [‖l x + g‖₂ <= cᵀx + d] over the [l] and [g] of the given
+    cone, sharing its Gram matrix: O(1).  The two cones of a two-sided
+    constraint on one norm use it.
+    @raise Invalid_argument if [c] changes the dimension. *)
 
 type problem = private {
   n : int;  (** number of variables *)
@@ -371,7 +391,14 @@ val certify_lower_bound :
 
 (**/**)
 
-val centering_oracle_for_tests : problem -> float -> Newton.oracle
-(** The centering objective [τ·f + barrier] — exposed so the test suite
-    can finite-difference the hand-derived cone calculus. Not part of the
-    stable API. *)
+val centering_oracle_for_tests :
+  ?relax:float -> problem -> float -> Newton.oracle
+(** The centering objective [τ·f + barrier], with every constraint offset
+    loosened by [relax] (default [0.]) — exposed so the test suite can
+    finite-difference the hand-derived cone calculus and compare it bit
+    for bit with a reference. Not part of the stable API. *)
+
+val phase1_problem_for_tests : problem -> problem
+(** The augmented problem {!find_strictly_feasible} solves: one slack
+    variable appended, every constraint relaxed by it.  Its cones share
+    the original cones' Gram matrices. Not part of the stable API. *)

@@ -27,10 +27,12 @@
      the gap test overshoot the true minimum — unsound); pops and
      releases raise the true minimum and are allowed to leave the
      mirror behind (stale-low merely delays a Gap_reached by at most
-     one epoch — conservative).  The steal protocol additionally
-     publishes the thief's mirror (which can only lower the global
-     minimum) before the victim's (which may raise it), so the
-     mirror-derived frontier bound never overshoots mid-transfer.
+     one epoch — conservative).  That makes each mirror conservative
+     for its own shard, not a fold over all of them: a steal can move
+     the minimum from a shard a reader has yet to reach to one it has
+     already read, so the reader sees a bound above the true minimum
+     ([infinity] when one node is live).  A caller about to act on the
+     folded bound confirms it with [exact_bound], under the locks.
    - the length mirror may only read zero when the queue is truly
      empty.  A push onto a shard whose length mirror reads zero
      publishes the length immediately (a parker or thief must be able
@@ -351,12 +353,13 @@ let try_steal t ~thief =
             | None -> assert false (* moved > 0 entries just arrived *)
           end
         in
-        (* Publish the thief's mirror (can only lower the global min
-           seen by readers) before the victim's (which raises it): at
-           every instant the mirror-derived frontier bound stays <= the
-           true minimum over live work.  Steal boundaries are also
-           where batched staleness is flushed — both shards leave this
-           section exact. *)
+        (* Both shards leave this section with exact mirrors: steal
+           boundaries are where batched staleness is flushed.  Each
+           mirror on its own stays <= its shard's true minimum, but no
+           publication order keeps a lock-free fold over the shards
+           sound: a reader that passed the thief's shard before this
+           steal and reaches the victim's after it misses the moved
+           items entirely.  That is why {!exact_bound} exists. *)
         publish_mirrors t mine;
         publish_mirrors t victim;
         unlock_pair t thief v;
@@ -454,6 +457,21 @@ let frontier_bound t =
   Array.fold_left
     (fun acc s -> Float.min acc (Atomic.get s.bound_mirror))
     Float.infinity t.shards
+
+(* Every shard lock, ascending (as in [snapshot]): no item can be
+   mid-transfer, so the minimum over queues and in-flight slots is the
+   true frontier minimum at one instant. *)
+let exact_bound t =
+  Array.iter (fun s -> Mutex.lock s.lock) t.shards;
+  let b =
+    Array.fold_left
+      (fun acc s ->
+        let acc = Float.min acc (Pqueue.min_key s.queue) in
+        match s.busy with Some (k, _) -> Float.min acc k | None -> acc)
+      Float.infinity t.shards
+  in
+  Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
+  b
 
 let live t = Atomic.get t.live
 let drained t = Atomic.get t.live = 0

@@ -29,9 +29,12 @@
       thread may [push] to any shard.
     - Items must never be mutated after being pushed (the B&B contract),
       which is what makes {!snapshot} and node migration race-free.
-    - [frontier_bound] is conservative: at every instant it is [<=] the
-      true minimum key over live (queued + in-flight) work, even while
-      steals are mid-transfer and between batched publishes.
+    - each shard's bound mirror is conservative: at every instant it
+      is [<=] the true minimum key over that shard's live (queued +
+      in-flight) work, between batched publishes too.  The lock-free
+      fold {!frontier_bound} is {e not}: a steal that moves the minimum
+      from a shard the fold has yet to read to one it has already read
+      hides it.  Confirm with {!exact_bound} before acting on it.
     - [drained] is exact: it flips true only when the search space is
       genuinely exhausted (children are pushed before their parent is
       released).
@@ -82,9 +85,9 @@ val try_steal : 'a t -> thief:int -> (float * 'a) option
     the victim's heap into [thief]'s shard (both shard locks held, in
     ascending index order) and returns the best stolen item, already
     marked in flight on [thief].  [None] when every other shard is
-    empty.  The thief's bound mirror is published before the victim's so
-    the global frontier bound never overshoots mid-transfer; both shards
-    leave a steal with exact mirrors. *)
+    empty.  Both shards leave a steal with exact mirrors; a concurrent
+    {!frontier_bound} fold may still miss the moved items (see
+    {!exact_bound}). *)
 
 val prune : 'a t -> (float -> 'a -> bool) -> unit
 (** Drop queued items not satisfying the predicate on every shard
@@ -115,10 +118,19 @@ val sync_mirrors : 'a t -> unit
     computing the final reported bound/gap. *)
 
 val frontier_bound : 'a t -> float
-(** Minimum key over queued and in-flight items, read from the atomic
-    mirrors: conservative (never above the true minimum) at every
-    instant, exact at quiescence after {!sync_mirrors}.  [infinity]
-    when drained. *)
+(** Minimum key over queued and in-flight items, folded over the atomic
+    mirrors without locks: cheap enough for every loop iteration, exact
+    at quiescence after {!sync_mirrors}, and [infinity] when drained.
+    While steals run it can read {e above} the true minimum (see the
+    concurrency contract), so a decision that needs a lower bound — a
+    [Gap_reached] stop — must confirm it with {!exact_bound}. *)
+
+val exact_bound : 'a t -> float
+(** The true minimum key over queued and in-flight items at one
+    instant: read under every shard lock, taken in ascending order as
+    {!snapshot} takes them, so no item can be mid-transfer.  [infinity]
+    when drained.  O(shards) lock acquisitions: for confirming a stop,
+    not for the hot path. *)
 
 val live : 'a t -> int
 (** Queued + in-flight items across all shards. *)

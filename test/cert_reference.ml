@@ -111,7 +111,7 @@ let certify_lower_bound ?(max_rel_slack = 0.1) (pb : Socp.problem)
     (* Cone multiplier pairs; [None] = pair zeroed by the repair. *)
     let cone_mult =
       Array.map
-        (fun ({ Socp.l; g; c; d } as soc) ->
+        (fun ({ Socp.l; g; c; d; _ } as soc) ->
           let u = Vec.dot c x +. d in
           let vv = soc_vv soc x in
           let h = (u *. u) -. vv in
@@ -172,7 +172,7 @@ let certify_lower_bound ?(max_rel_slack = 0.1) (pb : Socp.problem)
           end)
         pb.lins;
       Array.iteri
-        (fun k { Socp.l; g; c; d } ->
+        (fun k { Socp.l; g; c; d; _ } ->
           match cone_mult.(k) with
           | None -> ()
           | Some (w, z) ->

@@ -533,6 +533,58 @@ let prop_shift_right_rounded_exact =
           Rounding.shift_right_rounded mode r n = shift_reference mode r n)
         Rounding.[ Nearest; Nearest_away; Toward_zero; Floor; Ceil ])
 
+(* Exact reference for [raw · 2^n] under an overflow policy: one
+   doubling at a time.  With wl <= 62, |v| < 2^61, so 2v never leaves
+   the int range.  Wrap reduces after every doubling (mod 2^wl commutes
+   with it); otherwise the first doubling that leaves the format decides,
+   since |raw · 2^k| only grows with k. *)
+let shift_left_reference ov fmt raw n =
+  let lo = Qformat.min_raw fmt and hi = Qformat.max_raw fmt in
+  let rec go v k =
+    if k = 0 then Some v
+    else
+      let v2 = 2 * v in
+      match ov with
+      | Rounding.Wrap -> go (Qformat.wrap_raw fmt v2) (k - 1)
+      | Rounding.Saturate | Rounding.Error ->
+          if v2 < lo || v2 > hi then None else go v2 (k - 1)
+  in
+  match (go raw n, ov) with
+  | Some v, _ -> Ok v
+  | None, Rounding.Saturate -> Ok (if raw < 0 then lo else hi)
+  | None, _ -> Error ()
+
+let prop_shift_left_exact =
+  QCheck.Test.make ~name:"shift_left is exact for n in 0..80" ~count:3000
+    (QCheck.make
+       ~print:(fun (fmt, raw, n) ->
+         Printf.sprintf "%s, raw = %d, n = %d" (Qformat.to_string fmt) raw n)
+       QCheck.Gen.(
+         let* k = int_range 1 62 in
+         let* f = int_range 0 (62 - k) in
+         let fmt = Qformat.make ~k ~f in
+         let lo = Qformat.min_raw fmt and hi = Qformat.max_raw fmt in
+         let* raw =
+           frequency
+             [
+               (3, int_range lo hi);
+               (2, int_range (max lo (-64)) (min hi 64));
+               (1, oneofl [ lo; hi; lo + 1; hi - 1; 0; min hi 1; max lo (-1) ]);
+             ]
+         in
+         let* n = int_range 0 80 in
+         return (fmt, raw, n)))
+    (fun (fmt, raw, n) ->
+      List.for_all
+        (fun ov ->
+          let got =
+            match Fx.shift_left ~ov (Fx.create fmt raw) n with
+            | x -> Ok (Fx.raw x)
+            | exception Rounding.Fixed_point_overflow _ -> Error ()
+          in
+          got = shift_left_reference ov fmt raw n)
+        Rounding.[ Wrap; Saturate; Error ])
+
 let prop_interval_split_partitions =
   QCheck.Test.make ~name:"interval split partitions the grid" ~count:500
     (QCheck.make
@@ -565,6 +617,7 @@ let qcheck_tests =
       prop_wrap_add_congruent;
       prop_wrap_theorem;
       prop_shift_right_rounded_exact;
+      prop_shift_left_exact;
       prop_interval_split_partitions;
       prop_nearest_on_grid_is_nearest;
     ]

@@ -322,13 +322,9 @@ let test_relative_margins_scale_invariant () =
            relax.Optim.Socp.lins)
       ~socs:
         (Array.map
-           (fun { Optim.Socp.l; g; c; d } ->
-             {
-               Optim.Socp.l = Linalg.Mat.scale s l;
-               g = Linalg.Vec.scale s g;
-               c = Linalg.Vec.scale s c;
-               d = s *. d;
-             })
+           (fun { Optim.Socp.l; g; c; d; _ } ->
+             Optim.Socp.cone ~l:(Linalg.Mat.scale s l)
+               ~g:(Linalg.Vec.scale s g) ~c:(Linalg.Vec.scale s c) ~d:(s *. d))
            relax.Optim.Socp.socs)
       relax.Optim.Socp.n
   in
@@ -460,6 +456,32 @@ let test_oracle_allocation_budget () =
   let budget = float_of_int ((2 * (n + 1)) + 64) in
   checkb
     (Printf.sprintf "warm round trip allocates %.0f <= %.0f words" words budget)
+    true (words <= budget);
+  (* A cold solve of the same child from the box midpoint, which the
+     child's t-range cut leaves outside, so phase-I runs first.  Phase-I
+     builds its augmented problem once, with cones that share the
+     child's Gram matrices, and then allocates nothing per Newton
+     iteration either: beyond the augmented problem, only the phase-I
+     iterates and the returned solution (about 60 words, as above). *)
+  let mid = Array.map Fx_interval.mid wbox in
+  checkb "midpoint start needs phase-I" true
+    (Optim.Socp.min_relative_slack child mid < 1e-9);
+  let aug, aug_words =
+    minor_words (fun () -> Optim.Socp.phase1_problem_for_tests child)
+  in
+  checkb "phase-I cones share the child's Gram matrices" true
+    (Array.for_all2
+       (fun a c -> a.Optim.Socp.gram == c.Optim.Socp.gram)
+       aug.Optim.Socp.socs child.Optim.Socp.socs);
+  let cold () = Optim.Socp.solve_auto ~params child ~start:mid in
+  for _ = 1 to 3 do
+    ignore (cold ())
+  done;
+  let sol, words = minor_words cold in
+  checkb "cold child solve succeeded" true (Option.is_some sol);
+  let budget = aug_words +. float_of_int ((2 * (n + 1)) + 64) in
+  checkb
+    (Printf.sprintf "cold round trip allocates %.0f <= %.0f words" words budget)
     true (words <= budget);
   (* Polish from a feasible grid point, as the search polishes every
      candidate: returned w (n+1 words), the pair and its boxed cost and

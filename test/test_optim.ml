@@ -365,7 +365,7 @@ let test_socp_cone_projection () =
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = Vec.scale (-2.0) c in
   let cone =
-    { Socp.l = Mat.identity 2; g = Vec.zeros 2; c = Vec.zeros 2; d = 1.0 }
+    Socp.cone ~l:(Mat.identity 2) ~g:(Vec.zeros 2) ~c:(Vec.zeros 2) ~d:1.0
   in
   let problem = Socp.problem ~p ~q ~socs:[ cone ] 2 in
   let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
@@ -380,7 +380,7 @@ let test_socp_lower_bound_certificate () =
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = Vec.scale (-2.0) c in
   let cone =
-    { Socp.l = Mat.identity 2; g = Vec.zeros 2; c = Vec.zeros 2; d = 1.0 }
+    Socp.cone ~l:(Mat.identity 2) ~g:(Vec.zeros 2) ~c:(Vec.zeros 2) ~d:1.0
   in
   let problem = Socp.problem ~p ~q ~socs:[ cone ] 2 in
   let sol = Socp.solve problem ~start:[| 0.0; 0.0 |] in
@@ -398,7 +398,7 @@ let test_socp_certificate_analytic () =
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = Vec.scale (-2.0) c in
   let cone =
-    { Socp.l = Mat.identity 2; g = Vec.zeros 2; c = Vec.zeros 2; d = 1.0 }
+    Socp.cone ~l:(Mat.identity 2) ~g:(Vec.zeros 2) ~c:(Vec.zeros 2) ~d:1.0
   in
   (* A box around the ball: the residual-absorption step needs bounded
      coordinates (every LDA-FP relaxation has its weight box). *)
@@ -426,7 +426,7 @@ let test_socp_certificate_survives_corrupt_primal () =
   let p = Mat.scale 2.0 (Mat.identity 2) in
   let q = Vec.scale (-2.0) c in
   let cone =
-    { Socp.l = Mat.identity 2; g = Vec.zeros 2; c = Vec.zeros 2; d = 1.0 }
+    Socp.cone ~l:(Mat.identity 2) ~g:(Vec.zeros 2) ~c:(Vec.zeros 2) ~d:1.0
   in
   let lins = Socp.box_constraints [| -2.0; -2.0 |] [| 2.0; 2.0 |] in
   let problem = Socp.problem ~p ~q ~lins ~socs:[ cone ] 2 in
@@ -479,8 +479,8 @@ let prop_cert_lower_bounds_reference =
       let socs =
         if with_cone then
           let radius = Stats.Rng.uniform rng ~lo:1.0 ~hi:4.0 in
-          [ { Socp.l = Mat.identity n; g = Vec.zeros n; c = Vec.zeros n;
-              d = radius } ]
+          [ Socp.cone ~l:(Mat.identity n) ~g:(Vec.zeros n) ~c:(Vec.zeros n)
+              ~d:radius ]
         else []
       in
       let pb = Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs n in
@@ -575,13 +575,14 @@ let random_socp rng =
   let socs =
     List.init (Stats.Rng.int rng 3) (fun _ ->
         let rows = 1 + Stats.Rng.int rng 3 in
-        {
-          Socp.l =
-            Mat.init rows n (fun _ _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0);
-          g = Array.init rows (fun _ -> Stats.Rng.uniform rng ~lo:(-0.2) ~hi:0.2);
-          c = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-0.3) ~hi:0.3);
-          d = Stats.Rng.uniform rng ~lo:1.0 ~hi:3.0;
-        })
+        Socp.cone
+          ~l:
+            (Mat.init rows n (fun _ _ ->
+                 Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+          ~g:
+            (Array.init rows (fun _ -> Stats.Rng.uniform rng ~lo:(-0.2) ~hi:0.2))
+          ~c:(Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-0.3) ~hi:0.3))
+          ~d:(Stats.Rng.uniform rng ~lo:1.0 ~hi:3.0))
   in
   let pb = Socp.problem ~p ~q ~lins ~socs n in
   match Socp.solve_auto pb ~start:(Vec.zeros n) with
@@ -666,9 +667,9 @@ let garbage_cases rng =
   let pb ?(p = p) ?(q = q) ?(obj_scale = 1.0) ?(socs = [||]) lins =
     Socp.of_parts ~obj_scale ~p ~q ~lins ~socs n
   in
-  let cone scale =
-    { Socp.l = Mat.scale scale (Mat.identity n); g = [| 0.1; 0.0 |];
-      c = [| 0.0; 0.0 |]; d = 2.0 }
+  let cone ?(g = [| 0.1; 0.0 |]) scale =
+    Socp.cone ~l:(Mat.scale scale (Mat.identity n)) ~g ~c:[| 0.0; 0.0 |]
+      ~d:2.0
   in
   [
     ("non-centered iterate", pb box, sol x tau);
@@ -696,7 +697,7 @@ let garbage_cases rng =
     ("overflowing cone", pb ~socs:[| cone 1e300 |] box, sol x tau);
     ("cone", pb ~socs:[| cone 0.5 |] box, sol x tau);
     ("cone, NaN offset",
-     pb ~socs:[| { (cone 0.5) with Socp.g = [| Float.nan; 0.0 |] } |] box,
+     pb ~socs:[| cone ~g:[| Float.nan; 0.0 |] 0.5 |] box,
      sol x tau);
   ]
 
@@ -719,6 +720,101 @@ let prop_cert_matches_reference =
                    (show_certificate want))
             [ 0.1; 1e6 ])
         cases)
+
+(* Oracle reference equivalence: [Socp.centering_into], which reads
+   each cone's Gram matrix LᵀL, returns what the recomputing oracle of
+   test/oracle_reference.ml returns — value, gradient and Hessian bit
+   for bit, or both outside the barrier domain — on random SOCPs, on
+   restrictions of them and of the synthetic LDA-FP relaxations (whose
+   two cones per class share one Gram), and on their phase-I problems,
+   at several barrier weights and offset relaxations. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_oracle got want =
+  match (got, want) with
+  | None, None -> true
+  | Some (v, g, h), Some (v', g', h') ->
+      same_bits v v'
+      && Array.for_all2 same_bits g g'
+      && Array.for_all2 (Array.for_all2 same_bits) h h'
+  | _ -> false
+
+let oracle_agrees what pb x =
+  List.for_all
+    (fun (tau, relax) ->
+      same_oracle
+        (Socp.centering_oracle_for_tests ~relax pb tau x)
+        (Oracle_reference.centering ~relax pb tau x)
+      || QCheck.Test.fail_reportf
+           "%s (tau %g, relax %g): oracle differs from the reference" what tau
+           relax)
+    [ (1.0, 0.0); (1e3, 0.0); (1e-2, 0.0); (0.0, 1e-3) ]
+
+(* The pooled Gram of every cone of a restriction equals a fresh Gram of
+   the restricted L, both the constructor's and the reference sum. *)
+let pooled_gram_fresh what (pb : Socp.problem) =
+  Array.for_all
+    (fun ({ Socp.l; g; c; d; gram } : Socp.soc) ->
+      let n = pb.Socp.n in
+      let reference =
+        Array.init n (fun i ->
+            Array.init n (fun j -> Oracle_reference.gram_entry l i j))
+      in
+      let fresh = (Socp.cone ~l ~g ~c ~d).Socp.gram in
+      (Array.for_all2 (Array.for_all2 same_bits) gram reference
+      && Array.for_all2 (Array.for_all2 same_bits) gram fresh)
+      || QCheck.Test.fail_reportf "%s: pooled Gram differs from a fresh one"
+           what)
+    pb.Socp.socs
+
+(* The oracle on the problem at a point and jittered off it, on the
+   problem restricted with a random nonempty proper subset of
+   coordinates pinned at the point's values, and on the phase-I problems
+   of both.  A restriction's arrays are valid until the next restrict,
+   so everything about it is checked before returning. *)
+let oracle_agrees_around rng what (pb : Socp.problem) x =
+  let n = pb.Socp.n in
+  let with_phase1 what pb x =
+    oracle_agrees what pb x
+    && List.for_all
+         (fun s ->
+           oracle_agrees
+             (Printf.sprintf "%s, phase-I s = %g" what s)
+             (Socp.phase1_problem_for_tests pb)
+             (Array.append x [| s |]))
+         [ 2.0; 1e-3; 0.0 ]
+  in
+  let jittered =
+    Array.map (fun xi -> xi +. Stats.Rng.uniform rng ~lo:(-1e-2) ~hi:1e-2) x
+  in
+  with_phase1 what pb x
+  && oracle_agrees (what ^ ", jittered") pb jittered
+  && (n < 2
+     ||
+     let keep = Stats.Rng.int rng n in
+     let pinned = Array.init n (fun j -> j <> keep && Stats.Rng.int rng 2 = 0) in
+     if not (Array.exists Fun.id pinned) then pinned.((keep + 1) mod n) <- true;
+     let fixed =
+       Array.of_list
+         (List.filter_map
+            (fun j -> if pinned.(j) then Some (j, x.(j)) else None)
+            (List.init n Fun.id))
+     in
+     match Socp.restrict pb ~fixed with
+     | None -> true
+     | Some r ->
+         let what = what ^ ", restricted" in
+         pooled_gram_fresh what r.Socp.reduced
+         && with_phase1 what r.Socp.reduced (Socp.restriction_project r x))
+
+let prop_oracle_matches_reference =
+  QCheck.Test.make ~name:"oracle matches the recomputing reference" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Stats.Rng.create seed in
+      List.for_all
+        (fun (what, pb, sol) -> oracle_agrees_around rng what pb sol.Socp.x)
+        (random_socp rng @ e9_children rng))
 
 let test_socp_rejects_infeasible_start () =
   let lins = Socp.box_constraints [| 0.0 |] [| 1.0 |] in
@@ -1186,6 +1282,52 @@ let test_work_deque_mirror_conservative () =
   checki "shadow and deque agree on live count" (List.length !live)
     (Work_deque.live d)
 
+let test_work_deque_exact_bound_ping_pong () =
+  (* The torn-scan race behind an early Gap_reached: a lone node
+     ping-pongs between shards 1 and 2 by steals (the holder re-queues
+     it on its own shard, then releases), so the true frontier minimum
+     is its key at every instant while the shard holding it changes.
+     A lock-free fold over the mirrors can pass the thief's shard before
+     a steal and the victim's after it, and read infinity; the exact
+     bound the search confirms a gap with must never read above the
+     key. *)
+  let key = 1.0 in
+  let d = Work_deque.create ~workers:3 () in
+  Work_deque.push d ~worker:0 key ();
+  let stop = Atomic.make false in
+  let moves = Atomic.make 0 in
+  let pinger worker () =
+    while not (Atomic.get stop) do
+      match Work_deque.try_steal d ~thief:worker with
+      | Some (k, v) ->
+          Work_deque.push d ~worker k v;
+          Work_deque.release d ~worker;
+          Atomic.incr moves
+      | None -> Domain.cpu_relax ()
+    done
+  in
+  let pingers = List.map (fun w -> Domain.spawn (pinger w)) [ 1; 2 ] in
+  let worst = ref Float.neg_infinity and torn = ref 0 and reads = ref 0 in
+  (* At least 0.3 s and 1000 moves, at most 5 s.  The exact read takes
+     every lock, so it is interleaved with lock-free ones to leave the
+     pingers room to move. *)
+  let t0 = Unix.gettimeofday () in
+  let elapsed () = Unix.gettimeofday () -. t0 in
+  while (elapsed () < 0.3 || Atomic.get moves < 1000) && elapsed () < 5.0 do
+    incr reads;
+    worst := Float.max !worst (Work_deque.exact_bound d);
+    for _ = 1 to 64 do
+      if Work_deque.frontier_bound d > key then incr torn
+    done
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join pingers;
+  Printf.printf "%d reads over %d moves, %d torn lock-free reads\n" !reads
+    (Atomic.get moves) !torn;
+  checki "the node is still live" 1 (Work_deque.live d);
+  checkf 0.0 "exact bound never above the lone node's key" key !worst;
+  checkf 0.0 "exact bound at quiescence" key (Work_deque.exact_bound d)
+
 let test_work_deque_last_node_stolen () =
   (* The termination race the live count exists for: worker 1 steals
      worker 0's only node, so every shard heap is empty while the search
@@ -1362,12 +1504,9 @@ let test_socp_barrier_derivatives () =
   let q = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
   let lins = Socp.box_constraints (Vec.make n (-2.0)) (Vec.make n 2.0) in
   let cone =
-    {
-      Socp.l = Mat.init 2 n (fun i j -> if i = j then 0.5 else 0.1);
-      g = [| 0.05; -0.05 |];
-      c = Vec.make n 0.2;
-      d = 1.5;
-    }
+    Socp.cone
+      ~l:(Mat.init 2 n (fun i j -> if i = j then 0.5 else 0.1))
+      ~g:[| 0.05; -0.05 |] ~c:(Vec.make n 0.2) ~d:1.5
   in
   let problem = Socp.problem ~p ~q ~lins ~socs:[ cone ] n in
   (* Probe the centering objective through a tiny wrapper solve: we use
@@ -1484,8 +1623,8 @@ let prop_warm_start_agrees_with_cold =
       let hi = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:0.1 ~hi:2.0) in
       let radius = Stats.Rng.uniform rng ~lo:1.0 ~hi:4.0 in
       let cone =
-        { Socp.l = Mat.identity n; g = Vec.zeros n; c = Vec.zeros n;
-          d = radius }
+        Socp.cone ~l:(Mat.identity n) ~g:(Vec.zeros n) ~c:(Vec.zeros n)
+          ~d:radius
       in
       let pb =
         Socp.problem ~p ~q ~lins:(Socp.box_constraints lo hi) ~socs:[ cone ] n
@@ -1522,7 +1661,7 @@ let restrict_test_problem () =
   let q = [| -1.0; 0.5; -2.0 |] in
   let lins = Socp.box_constraints (Vec.make 3 (-1.0)) (Vec.make 3 1.0) in
   let ball =
-    { Socp.l = Mat.identity 3; g = Vec.zeros 3; c = Vec.zeros 3; d = 2.0 }
+    Socp.cone ~l:(Mat.identity 3) ~g:(Vec.zeros 3) ~c:(Vec.zeros 3) ~d:2.0
   in
   Socp.problem ~p ~q ~lins ~socs:[ ball ] 3
 
@@ -1604,8 +1743,8 @@ let prop_pull_in_strictly_interior =
       let hi = Array.init n (fun _ -> Stats.Rng.uniform rng ~lo:0.1 ~hi:2.0) in
       let radius = Stats.Rng.uniform rng ~lo:1.0 ~hi:4.0 in
       let cone =
-        { Socp.l = Mat.identity n; g = Vec.zeros n; c = Vec.zeros n;
-          d = radius }
+        Socp.cone ~l:(Mat.identity n) ~g:(Vec.zeros n) ~c:(Vec.zeros n)
+          ~d:radius
       in
       let pb = Socp.problem ~lins:(Socp.box_constraints lo hi) ~socs:[ cone ] n in
       let x0 =
@@ -1639,6 +1778,7 @@ let qcheck_tests =
       prop_pqueue_steal_half;
       prop_cert_lower_bounds_reference;
       prop_cert_matches_reference;
+      prop_oracle_matches_reference;
       prop_admm_agrees_with_barrier;
       prop_warm_start_agrees_with_cold;
       prop_pull_in_strictly_interior;
@@ -1681,6 +1821,8 @@ let () =
             test_work_deque_mirror_conservative;
           Alcotest.test_case "last node stolen mid-drain" `Quick
             test_work_deque_last_node_stolen;
+          Alcotest.test_case "exact bound under ping-pong steals" `Quick
+            test_work_deque_exact_bound_ping_pong;
         ] );
       ( "newton",
         [
